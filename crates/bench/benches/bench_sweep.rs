@@ -9,7 +9,12 @@ use prophet_core::{
     flatten_invocations, mpi_grid, transform_invocations, Backend, EstimatorOptions, Session,
     SweepConfig, SweepPoint,
 };
+use prophet_estimator::Estimator;
+use prophet_machine::{CommParams, MachineModel};
 use prophet_workloads::models::jacobi_model;
+
+/// How many times the repeated-grid workload sweeps its grid.
+const REPEATS: usize = 4;
 
 fn grid_64() -> Vec<SweepPoint> {
     // 64 points: node counts 1..=16 at 1/2/4/8 cpus each.
@@ -51,23 +56,15 @@ fn bench_sweep(c: &mut Criterion) {
     );
 
     // Guard the flatten-once elaboration contract (the CI smoke run of
-    // this bench is the gate): a cached sweep over 8 SP points × 4 seeds
-    // elaborates exactly once per distinct SP point — misses == points,
-    // every later evaluation is a hit, and a repeat sweep performs zero
+    // this bench is the gate): the same 8-point grid swept 4× elaborates
+    // exactly once per distinct SP point — misses == points, every later
+    // evaluation is a hit, and a repeat sweep performs zero
     // `flatten_for_process` calls at all (pure cache hits).
     {
         let session = Session::new(model.clone()).expect("compile");
         let grid8 = mpi_grid(&[1, 2, 4, 8, 16, 32, 64, 128], 1);
-        let seeds: [u64; 4] = [11, 22, 33, 44];
-        for seed in seeds {
-            let config = SweepConfig {
-                options: EstimatorOptions {
-                    seed,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            assert_eq!(session.sweep_with(&grid8, &config, |_, _| {}).failures(), 0);
+        for _ in 0..REPEATS {
+            assert_eq!(session.sweep(&grid8).failures(), 0);
         }
         let stats = session.elab_stats();
         assert_eq!(
@@ -77,7 +74,7 @@ fn bench_sweep(c: &mut Criterion) {
         );
         assert_eq!(
             stats.hits,
-            (grid8.len() * (seeds.len() - 1)) as u64,
+            (grid8.len() * (REPEATS - 1)) as u64,
             "every repeat evaluation must be a cache hit: {stats:?}"
         );
         let flattens_before = flatten_invocations();
@@ -118,29 +115,33 @@ fn bench_sweep(c: &mut Criterion) {
     group.bench_function("session_sweep", |b| b.iter(|| session.sweep(&big)));
     group.finish();
 
-    // The repeated-seed workload the elaboration cache exists for: the
-    // same 8-point grid swept at 4 seeds. Cached, the 8 elaborations are
+    // The repeated-grid workload the elaboration cache exists for: the
+    // same 8-point grid swept 4×. Cached, the 8 elaborations are
     // amortized across all 32 evaluations (and across bench iterations);
-    // uncached, every evaluation re-flattens.
+    // uncached — per-point `Estimator::run_backend` — every evaluation
+    // re-flattens.
     let grid8 = mpi_grid(&[1, 2, 4, 8, 16, 32, 64, 128], 1);
-    let sweep_4_seeds = |no_elab_cache: bool| {
-        for seed in [11u64, 22, 33, 44] {
-            let config = SweepConfig {
-                threads: 1,
-                no_elab_cache,
-                options: EstimatorOptions {
-                    seed,
-                    ..Default::default()
-                },
+    let sweep_repeated = |cached: bool| {
+        for _ in 0..REPEATS {
+            if cached {
+                assert_eq!(session.sweep_with(&grid8, &serial, |_, _| {}).failures(), 0);
+                continue;
+            }
+            let options = EstimatorOptions {
+                trace: false,
                 ..Default::default()
             };
-            assert_eq!(session.sweep_with(&grid8, &config, |_, _| {}).failures(), 0);
+            for point in &grid8 {
+                let machine = MachineModel::new(point.sp, CommParams::default()).unwrap();
+                Estimator::run_backend(Backend::Simulation, session.program(), &machine, &options)
+                    .unwrap();
+            }
         }
     };
-    let mut group = c.benchmark_group("sweep/jacobi_8pts_x4seeds");
+    let mut group = c.benchmark_group("sweep/jacobi_8pts_x4");
     group.sample_size(10);
-    group.bench_function("elab_cached", |b| b.iter(|| sweep_4_seeds(false)));
-    group.bench_function("elab_uncached", |b| b.iter(|| sweep_4_seeds(true)));
+    group.bench_function("elab_cached", |b| b.iter(|| sweep_repeated(true)));
+    group.bench_function("elab_uncached", |b| b.iter(|| sweep_repeated(false)));
     group.finish();
 
     // Trajectory snapshot (BENCH_sweep.json under PROPHET_BENCH_WRITE=1):
@@ -158,10 +159,10 @@ fn bench_sweep(c: &mut Criterion) {
     ); // warm: elab cache + BatchProgram compilation
     let mut trajectory = Trajectory::new("sweep");
     let n = big.len() as u64;
-    trajectory.measure("sim_sweep_serial_64pt_points_per_sec", n, || {
+    trajectory.measure("sim_sweep_1thread_64pt_points_per_sec", n, || {
         assert_eq!(session.sweep_with(&big, &serial, |_, _| {}).failures(), 0);
     });
-    trajectory.measure("sim_sweep_parallel_64pt_points_per_sec", n, || {
+    trajectory.measure("sim_sweep_all_threads_64pt_points_per_sec", n, || {
         assert_eq!(session.sweep_with(&big, &parallel, |_, _| {}).failures(), 0);
     });
     trajectory.measure("analytic_batch_sweep_64pt_points_per_sec", n * 8, || {
@@ -175,9 +176,9 @@ fn bench_sweep(c: &mut Criterion) {
         }
     });
     trajectory.measure(
-        "elab_cached_8pt_x4seed_points_per_sec",
-        (grid8.len() * 4) as u64,
-        || sweep_4_seeds(false),
+        "elab_cached_8pt_x4_points_per_sec",
+        (grid8.len() * REPEATS) as u64,
+        || sweep_repeated(true),
     );
     trajectory.write_if_requested();
 }

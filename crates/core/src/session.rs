@@ -14,8 +14,7 @@
 //! * **serve** — [`Session::evaluate`] answers one [`Scenario`];
 //!   [`Session::sweep`] fans an SP grid out over scoped worker threads;
 //!   [`Session::batch`] does the same for heterogeneous scenario sets
-//!   (different communication parameters, seeds, calendars — not just
-//!   SP grids).
+//!   (different communication parameters or limits, not just SP grids).
 //!
 //! Every serve entry point takes a [`Backend`] selector (on the
 //! [`Scenario`] or the [`SweepConfig`]): `Backend::Simulation` replays
@@ -51,19 +50,13 @@ pub struct Scenario {
     pub system: SystemParams,
     /// Communication parameters of the machine model.
     pub comm: CommParams,
-    /// Estimator options (seed, tracing, limits, calendar).
+    /// Estimator options (tracing, limits).
     pub options: EstimatorOptions,
     /// Evaluation engine: DES simulation (default) or closed-form
-    /// analytic. The analytic backend records no trace and ignores
-    /// seed/calendar; see `prophet_estimator::analytic` for the
-    /// agreement contract between the two.
+    /// analytic. The analytic backend records no trace; see
+    /// `prophet_estimator::analytic` for the agreement contract between
+    /// the two.
     pub backend: Backend,
-    /// Escape hatch: when `true`, this scenario elaborates its op lists
-    /// from scratch instead of using the session's shared
-    /// [`ElaborationCache`]. Results are identical either way (the cache
-    /// is keyed on everything elaboration reads); disabling only trades
-    /// speed for memory.
-    pub no_elab_cache: bool,
 }
 
 impl Scenario {
@@ -87,12 +80,6 @@ impl Scenario {
         self
     }
 
-    /// Replace the simulation seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.options.seed = seed;
-        self
-    }
-
     /// Disable trace recording (the right choice for large batches).
     pub fn without_trace(mut self) -> Self {
         self.options.trace = false;
@@ -102,12 +89,6 @@ impl Scenario {
     /// Select the evaluation backend.
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Elaborate this scenario uncached (see [`Scenario::no_elab_cache`]).
-    pub fn without_elab_cache(mut self) -> Self {
-        self.no_elab_cache = true;
         self
     }
 }
@@ -147,12 +128,6 @@ pub struct SweepConfig {
     /// Evaluation engine used for every point (simulation by default;
     /// analytic makes large sweeps dramatically faster).
     pub backend: Backend,
-    /// Escape hatch (CLI `--no-elab-cache`): when `true`, every point
-    /// elaborates from scratch instead of sharing the session's
-    /// [`ElaborationCache`]. Results are bit-identical either way; a
-    /// cached sweep just flattens once per distinct SP point instead of
-    /// once per evaluation.
-    pub no_elab_cache: bool,
 }
 
 /// One sweep point's outcome under the unified error type.
@@ -331,22 +306,20 @@ impl Session {
     ///
     /// The per-rank op lists come from the session's shared
     /// [`ElaborationCache`] (flattened once per distinct
-    /// `(SP, comm, limits)` key across evaluations, sweeps, seeds and
-    /// backends) unless the scenario sets
-    /// [`no_elab_cache`](Scenario::no_elab_cache).
+    /// `(SP, comm, limits)` key across evaluations, sweeps and
+    /// backends).
     ///
     /// # Errors
     /// [`Error::Machine`] for invalid SP, [`Error::Estimate`] for
     /// simulation failures.
     pub fn evaluate(&self, scenario: &Scenario) -> Result<Evaluation, Error> {
         let machine = MachineModel::new(scenario.system, scenario.comm)?;
-        let cache = (!scenario.no_elab_cache).then_some(&*self.elab);
         Ok(Estimator::run_backend_cached(
             scenario.backend,
             &self.program,
             &machine,
             &scenario.options,
-            cache,
+            &self.elab,
         )?)
     }
 
@@ -385,15 +358,14 @@ impl Session {
         config: &SweepConfig,
         on_point: impl FnMut(usize, &PointResult),
     ) -> SweepReport {
-        let cache = (!config.no_elab_cache).then_some(&*self.elab);
-        sweep_program(&self.program, cache, points, config, on_point)
+        sweep_program(&self.program, &self.elab, points, config, on_point)
     }
 
     /// Evaluate heterogeneous scenarios in parallel (input order kept).
     ///
     /// Unlike [`Session::sweep`], every scenario may vary communication
-    /// parameters, seeds, calendars and limits — the compile artifacts
-    /// are still shared untouched.
+    /// parameters, options and backend — the compile artifacts are
+    /// still shared untouched.
     pub fn batch(&self, scenarios: &[Scenario]) -> Vec<Result<Evaluation, Error>> {
         self.batch_with(scenarios, 0, |_, _| {})
     }
@@ -420,12 +392,10 @@ impl Session {
 /// Tracing is disabled once for the whole sweep — options are built one
 /// time and shared by reference across workers, never cloned per point.
 /// Results are reassembled into input order regardless of completion
-/// order. `pub(crate)` so the deprecated shims can sweep a bare
-/// `Program` without paying for a full [`Session`] compile (they pass
-/// `elab: None` — no cache, the legacy per-call elaboration semantics).
-pub(crate) fn sweep_program(
+/// order.
+fn sweep_program(
     program: &Program,
-    elab: Option<&ElaborationCache>,
+    cache: &ElaborationCache,
     points: &[SweepPoint],
     config: &SweepConfig,
     mut on_point: impl FnMut(usize, &PointResult),
@@ -438,12 +408,12 @@ pub(crate) fn sweep_program(
     };
     let comm = config.comm;
     let backend = config.backend;
-    let results = match (backend, elab) {
-        // Cached analytic sweeps go through the batch path: workers
-        // claim whole chunks off the cursor and replay each point into
-        // their own reusable scratch (predictions are bit-identical to
-        // the per-point path — see `prophet_estimator::batch`).
-        (Backend::Analytic, Some(cache)) => run_indexed_chunked(
+    let results = match backend {
+        // Analytic sweeps go through the batch path: workers claim
+        // whole chunks off the cursor and replay each point into their
+        // own reusable scratch (predictions are bit-identical to the
+        // per-point path — see `prophet_estimator::batch`).
+        Backend::Analytic => run_indexed_chunked(
             points.len(),
             config.threads,
             ANALYTIC_CHUNK,
@@ -464,7 +434,7 @@ pub(crate) fn sweep_program(
             },
             &mut on_point,
         ),
-        _ => run_indexed(
+        Backend::Simulation => run_indexed(
             points.len(),
             config.threads,
             |i| {
@@ -474,7 +444,7 @@ pub(crate) fn sweep_program(
                         .map_err(Error::from)
                         .and_then(|machine| {
                             Estimator::run_backend_cached(
-                                backend, program, &machine, &options, elab,
+                                backend, program, &machine, &options, cache,
                             )
                             .map(|e| e.predicted_time)
                             .map_err(Error::from)
@@ -669,7 +639,6 @@ mod tests {
             Scenario::new(SystemParams::flat_mpi(2, 1)).without_trace(),
             Scenario::new(SystemParams::flat_mpi(2, 1))
                 .with_comm(CommParams::fast_interconnect())
-                .with_seed(7)
                 .without_trace(),
             // Invalid: fewer processes than nodes.
             Scenario::new(SystemParams {
@@ -723,16 +692,12 @@ mod tests {
     fn sweep_flattens_once_per_sp_point() {
         let session = Session::new(amdahl_model()).unwrap();
         let points = mpi_grid(&[1, 2, 4, 8, 16, 32, 64, 128], 1);
-        // 8 SP points × 4 seeds × both backends: 8 elaborations total.
+        // The grid swept 4 times × both backends: 8 elaborations total.
         let mut expected_lookups = 0u64;
-        for seed in [1u64, 2, 3, 4] {
+        for _ in 0..4 {
             for backend in [Backend::Simulation, Backend::Analytic] {
                 let config = SweepConfig {
                     backend,
-                    options: EstimatorOptions {
-                        seed,
-                        ..Default::default()
-                    },
                     ..Default::default()
                 };
                 let report = session.sweep_with(&points, &config, |_, _| {});
@@ -751,42 +716,46 @@ mod tests {
         );
     }
 
+    /// The uncached reference: a fresh elaboration per point through
+    /// `Estimator::run_backend`, with no session cache involved.
+    fn uncached(session: &Session, backend: Backend, sp: SystemParams) -> f64 {
+        let machine = MachineModel::new(sp, CommParams::default()).unwrap();
+        Estimator::run_backend(
+            backend,
+            session.program(),
+            &machine,
+            &EstimatorOptions::default(),
+        )
+        .unwrap()
+        .predicted_time
+    }
+
     #[test]
     fn uncached_sweep_matches_cached_bit_for_bit() {
         let session = Session::new(amdahl_model()).unwrap();
         let points = mpi_grid(&[1, 2, 4, 8], 1);
-        let cached = session.sweep(&points);
-        let before = session.elab_stats();
-        let uncached = session.sweep_with(
-            &points,
-            &SweepConfig {
-                no_elab_cache: true,
+        for backend in [Backend::Simulation, Backend::Analytic] {
+            let config = SweepConfig {
+                backend,
                 ..Default::default()
-            },
-            |_, _| {},
-        );
-        assert_eq!(
-            session.elab_stats(),
-            before,
-            "no_elab_cache must not touch the cache"
-        );
-        for (c, u) in cached.times().iter().zip(uncached.times().iter()) {
-            assert_eq!(c.unwrap().to_bits(), u.unwrap().to_bits());
+            };
+            let cached = session.sweep_with(&points, &config, |_, _| {});
+            for (pt, c) in points.iter().zip(cached.times()) {
+                let u = uncached(&session, backend, pt.sp);
+                assert_eq!(c.unwrap().to_bits(), u.to_bits(), "{backend} {pt:?}");
+            }
         }
     }
 
     #[test]
-    fn scenario_escape_hatch_bypasses_the_cache() {
+    fn evaluate_matches_the_uncached_reference() {
+        // Single evaluations: the cached path against the uncached
+        // reference, which leaves the session's counters alone.
         let session = Session::new(amdahl_model()).unwrap();
         let sp = SystemParams::flat_mpi(2, 1);
         let cached = session.evaluate(&Scenario::new(sp)).unwrap();
-        let direct = session
-            .evaluate(&Scenario::new(sp).without_elab_cache())
-            .unwrap();
-        assert_eq!(
-            cached.predicted_time.to_bits(),
-            direct.predicted_time.to_bits()
-        );
+        let direct = uncached(&session, Backend::Simulation, sp);
+        assert_eq!(cached.predicted_time.to_bits(), direct.to_bits());
         let stats = session.elab_stats();
         assert_eq!((stats.hits, stats.misses), (0, 1), "{stats:?}");
     }

@@ -264,7 +264,15 @@ impl ArtifactStore {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let probe = dir.join(format!(".probe-{}", std::process::id()));
+        // Unique per call (pid + process-wide counter), like the temp
+        // files below: concurrent `open`s in one process must not share
+        // a probe, or one's `remove_file` finds the file already gone.
+        static PROBE_SEQ: AtomicU64 = AtomicU64::new(0);
+        let probe = dir.join(format!(
+            ".probe-{}-{}",
+            std::process::id(),
+            PROBE_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         std::fs::write(&probe, b"ok")?;
         std::fs::remove_file(&probe)?;
         Ok(Self {

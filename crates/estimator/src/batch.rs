@@ -291,7 +291,6 @@ impl BatchProgram {
                 processes_completed: n,
                 processes_spawned: n,
                 facilities: Vec::new(),
-                hit_time_limit: false,
             },
             trace: TraceFile::new(name.to_string(), n),
         })
@@ -375,7 +374,6 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::elab::flatten_all;
-    use crate::estimator::EstimatorOptions;
     use crate::program::{MpiOp, Program, Step};
     use prophet_expr::parse_expression;
     use prophet_machine::{CommParams, MachineModel, SystemParams};
@@ -395,8 +393,7 @@ mod tests {
     /// Assert batch and per-point agree bit-for-bit on `p` × `m`.
     fn assert_bit_identical(p: &Program, m: &MachineModel) {
         let ops = flatten_all(p, m, Default::default()).unwrap();
-        let oracle =
-            crate::analytic::evaluate_ops(&p.name, &ops, m, &EstimatorOptions::default()).unwrap();
+        let oracle = crate::analytic::evaluate_ops(&p.name, &ops, m).unwrap();
         let batch = BatchProgram::prepare(&ops, m).unwrap();
         let mut scratch = BatchScratch::new();
         let got = batch.evaluate(&p.name, &mut scratch).unwrap();
@@ -526,9 +523,7 @@ mod tests {
         for nodes in [8, 2, 4, 1, 8, 3] {
             let m = machine(nodes, 1);
             let ops = flatten_all(&p, &m, Default::default()).unwrap();
-            let oracle =
-                crate::analytic::evaluate_ops(&p.name, &ops, &m, &EstimatorOptions::default())
-                    .unwrap();
+            let oracle = crate::analytic::evaluate_ops(&p.name, &ops, &m).unwrap();
             let batch = BatchProgram::prepare(&ops, &m).unwrap();
             let got = batch.evaluate(&p.name, &mut scratch).unwrap();
             assert_eq!(
@@ -554,8 +549,7 @@ mod tests {
         )]);
         let m = machine(2, 1);
         let ops = flatten_all(&p, &m, Default::default()).unwrap();
-        let oracle = crate::analytic::evaluate_ops(&p.name, &ops, &m, &EstimatorOptions::default())
-            .unwrap_err();
+        let oracle = crate::analytic::evaluate_ops(&p.name, &ops, &m).unwrap_err();
         let batch = BatchProgram::prepare(&ops, &m).unwrap();
         let got = batch
             .evaluate(&p.name, &mut BatchScratch::new())

@@ -8,9 +8,9 @@
 //! it.
 //!
 //! Elaboration is a pure function of `(Program, SystemParams,
-//! CommParams, FlattenLimits)` — it never reads the seed, calendar,
-//! trace flag, time cutoff, or backend — so a sweep over S SP points ×
-//! R seeds × both backends only has S distinct elaborations, not S×R×2.
+//! CommParams, FlattenLimits)` — it never reads the trace flag or the
+//! backend — so R repeated sweeps over S SP points × both backends only
+//! have S distinct elaborations, not S×R×2.
 //! [`ElaborationCache`] memoizes them:
 //!
 //! * **Keying.** `ElabKey` is a content key over the machine model and
@@ -40,8 +40,7 @@
 //!   in [`ElabStats::bypasses`]. Each entry's size is the flattened
 //!   model itself (bounded per rank by [`FlattenLimits::max_ops`]), so
 //!   capacity bounds entry *count*; callers sweeping enormous grids of
-//!   enormous models can lower it or disable caching entirely
-//!   (`SweepConfig::no_elab_cache` / `--no-elab-cache`).
+//!   enormous models can lower it ([`ElaborationCache::with_capacity`]).
 //!
 //! Failed elaborations are cached too: a key whose flatten fails serves
 //! the same [`FlattenError`] to every scenario that hits it, without

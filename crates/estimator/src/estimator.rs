@@ -6,7 +6,7 @@ use crate::flatten::{FlattenError, FlattenLimits};
 use crate::interp::OpProcess;
 use crate::program::Program;
 use prophet_machine::MachineModel;
-use prophet_sim::{CalendarKind, Config, SimError, SimReport, Simulator};
+use prophet_sim::{Config, SimError, SimReport, Simulator};
 use prophet_trace::TraceFile;
 use std::cell::RefCell;
 use std::fmt;
@@ -55,26 +55,17 @@ impl std::str::FromStr for Backend {
 /// Options for one evaluation run.
 #[derive(Debug, Clone)]
 pub struct EstimatorOptions {
-    /// Master seed for the simulation's random streams.
-    pub seed: u64,
     /// Whether to record a trace file (TF). Disable for large sweeps.
     pub trace: bool,
     /// Elaboration limits.
     pub limits: FlattenLimits,
-    /// Optional simulated-time cutoff.
-    pub until: Option<f64>,
-    /// Calendar implementation (ablation A3).
-    pub calendar: CalendarKind,
 }
 
 impl Default for EstimatorOptions {
     fn default() -> Self {
         Self {
-            seed: 0x5EED,
             trace: true,
             limits: FlattenLimits::default(),
-            until: None,
-            calendar: CalendarKind::BinaryHeap,
         }
     }
 }
@@ -136,63 +127,57 @@ pub struct Evaluation {
     pub trace: TraceFile,
 }
 
-/// The Performance Estimator.
-pub struct Estimator {
-    /// The machine model in effect.
-    pub machine: MachineModel,
-    /// Run options.
-    pub options: EstimatorOptions,
-}
+/// The Performance Estimator: associated functions that evaluate a
+/// [`Program`] on a [`MachineModel`].
+pub struct Estimator;
 
 impl Estimator {
-    /// Create an estimator for a machine.
-    pub fn new(machine: MachineModel, options: EstimatorOptions) -> Self {
-        Self { machine, options }
-    }
-
-    /// Evaluate `program` on the configured machine.
-    pub fn evaluate(&self, program: &Program) -> Result<Evaluation, EstimatorError> {
-        Self::run(program, &self.machine, &self.options)
-    }
-
-    /// Evaluate `program` on `machine` with the selected `backend`.
+    /// Evaluate `program` on `machine` with the selected `backend`,
+    /// elaborating from scratch.
     ///
     /// [`Backend::Simulation`] delegates to [`Estimator::run`];
     /// [`Backend::Analytic`] resolves the same op lists in closed form
     /// ([`crate::analytic::evaluate_analytic`]) without touching the DES
-    /// kernel.
+    /// kernel. This uncached path is the reference the cached paths are
+    /// tested against.
     pub fn run_backend(
         backend: Backend,
         program: &Program,
         machine: &MachineModel,
         options: &EstimatorOptions,
     ) -> Result<Evaluation, EstimatorError> {
-        Self::run_backend_cached(backend, program, machine, options, None)
+        let rank_ops = flatten_all(program, machine, options.limits)?;
+        Self::run_backend_ops(backend, &program.name, &rank_ops, machine, options)
     }
 
     /// [`Estimator::run_backend`] with a shared [`ElaborationCache`]:
     /// the per-rank op lists come from the cache (flattened at most once
-    /// per distinct `(SP, comm, limits)` key, shared across threads,
-    /// seeds and backends) instead of being rebuilt per evaluation.
+    /// per distinct `(SP, comm, limits)` key, shared across threads and
+    /// backends) instead of being rebuilt per evaluation.
     ///
     /// The cache must be dedicated to this `program` — `Session` owns
-    /// one per compiled model; pass `None` to elaborate uncached.
+    /// one per compiled model.
     pub fn run_backend_cached(
         backend: Backend,
         program: &Program,
         machine: &MachineModel,
         options: &EstimatorOptions,
-        cache: Option<&ElaborationCache>,
+        cache: &ElaborationCache,
     ) -> Result<Evaluation, EstimatorError> {
-        let rank_ops = match cache {
-            Some(cache) => cache.get_or_flatten(program, machine, options.limits)?,
-            None => flatten_all(program, machine, options.limits)?,
-        };
+        let rank_ops = cache.get_or_flatten(program, machine, options.limits)?;
+        Self::run_backend_ops(backend, &program.name, &rank_ops, machine, options)
+    }
+
+    fn run_backend_ops(
+        backend: Backend,
+        name: &str,
+        rank_ops: &RankOps,
+        machine: &MachineModel,
+        options: &EstimatorOptions,
+    ) -> Result<Evaluation, EstimatorError> {
         match backend {
-            Backend::Simulation => Self::run_ops(&program.name, &rank_ops, machine, options),
-            Backend::Analytic => {
-                crate::analytic::evaluate_ops(&program.name, &rank_ops, machine, options)
-            }
+            Backend::Simulation => Self::run_ops(name, rank_ops, machine, options),
+            Backend::Analytic => crate::analytic::evaluate_ops(name, rank_ops, machine),
         }
     }
 
@@ -217,7 +202,7 @@ impl Estimator {
         let (rank_ops, batch) = cache.get_or_flatten_batched(program, machine, options.limits)?;
         match batch {
             Some(batch) => batch.evaluate(&program.name, scratch),
-            None => crate::analytic::evaluate_ops(&program.name, &rank_ops, machine, options),
+            None => crate::analytic::evaluate_ops(&program.name, &rank_ops, machine),
         }
     }
 
@@ -227,7 +212,7 @@ impl Estimator {
     /// This is the reusable hot path behind compile-once sessions: one
     /// immutable `Program` and one `EstimatorOptions` can serve any
     /// number of evaluations (and any number of threads) without being
-    /// cloned or consumed. [`Estimator::evaluate`] delegates here.
+    /// cloned or consumed.
     pub fn run(
         program: &Program,
         machine: &MachineModel,
@@ -253,12 +238,7 @@ impl Estimator {
         debug_assert_eq!(rank_ops.len(), sp.processes, "elaboration/machine mismatch");
 
         // Integrate with the machine model in a fresh simulator.
-        let mut sim = Simulator::new(Config {
-            seed: options.seed,
-            until: options.until,
-            calendar: options.calendar,
-            ..Default::default()
-        });
+        let mut sim = Simulator::new(Config::default());
         let layout = machine.instantiate(&mut sim);
         let mailboxes = Rc::new(layout.proc_mailboxes.clone());
         let trace_sink = if options.trace {
@@ -274,13 +254,7 @@ impl Estimator {
         for (pid, ops) in rank_ops.iter().enumerate() {
             // One 1-server facility per `<<critical+>>` lock of this rank.
             let locks: Vec<_> = (0..crate::flatten::lock_count(ops))
-                .map(|l| {
-                    sim.add_facility(
-                        &format!("rank{pid}.lock{l}"),
-                        1,
-                        prophet_sim::Discipline::Fcfs,
-                    )
-                })
+                .map(|l| sim.add_facility(&format!("rank{pid}.lock{l}"), 1))
                 .collect();
             let proc = OpProcess::master(
                 pid,
@@ -341,9 +315,7 @@ mod tests {
     }
 
     fn eval(program: &Program, m: MachineModel) -> Evaluation {
-        Estimator::new(m, EstimatorOptions::default())
-            .evaluate(program)
-            .unwrap()
+        Estimator::run(program, &m, &EstimatorOptions::default()).unwrap()
     }
 
     #[test]
@@ -555,9 +527,7 @@ mod tests {
                 },
             },
         )]);
-        let err = Estimator::new(machine(2, 1), EstimatorOptions::default())
-            .evaluate(&p)
-            .unwrap_err();
+        let err = Estimator::run(&p, &machine(2, 1), &EstimatorOptions::default()).unwrap_err();
         match err {
             EstimatorError::Sim(SimError::Deadlock { blocked, .. }) => {
                 assert!(blocked.iter().any(|b| b.contains("rank0")), "{blocked:?}");
@@ -570,15 +540,11 @@ mod tests {
     fn trace_disabled_is_empty() {
         let mut p = Program::new("quiet");
         p.body = exec("A", "1");
-        let e = Estimator::new(
-            machine(1, 1),
-            EstimatorOptions {
-                trace: false,
-                ..Default::default()
-            },
-        )
-        .evaluate(&p)
-        .unwrap();
+        let options = EstimatorOptions {
+            trace: false,
+            ..Default::default()
+        };
+        let e = Estimator::run(&p, &machine(1, 1), &options).unwrap();
         assert!(e.trace.is_empty());
         assert_eq!(e.predicted_time, 1.0);
     }

@@ -18,8 +18,8 @@
 //!   (compute / send / recv / collective / thread team),
 //! * [`elab`] — memoized elaboration: [`elab::ElaborationCache`] interns
 //!   the flattened op lists per `(SP, comm, limits)` content key as
-//!   shared `Arc<[PrimOp]>` lists, so a sweep over S SP points × R seeds
-//!   × both backends flattens S times, not S×R×2 (the sweep hot path
+//!   shared `Arc<[PrimOp]>` lists, so R repeated sweeps over S SP points
+//!   × both backends flatten S times, not S×R×2 (the sweep hot path
 //!   was elaboration-dominated; see `bench_analytic`/`bench_sweep`),
 //! * [`interp`] — the simulation process that replays primitive ops on
 //!   the CSIM-substitute engine (CPU facilities, mailboxes),

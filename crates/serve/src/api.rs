@@ -4,7 +4,7 @@
 //! | endpoint | body | answers |
 //! |---|---|---|
 //! | `POST /v1/check` | `{model\|model_name, mcf?}` | checker diagnostics |
-//! | `POST /v1/estimate` | `+ nodes/cpus/processes/threads/seed/backend` | one prediction |
+//! | `POST /v1/estimate` | `+ nodes/cpus/processes/threads/backend` | one prediction |
 //! | `POST /v1/sweep` | `+ nodes: [..], workers` | an SP-grid table |
 //! | `POST /v1/optimize` | `+ objective/deadline/max_cost/...` | the Pareto frontier of an inverse query |
 //! | `GET /v1/models` | — | bundled demo workloads, by name |
@@ -101,30 +101,66 @@ pub fn bearer_authorized(req: &Request, expected: &str) -> bool {
         == Some(expected)
 }
 
-/// The bundled demo workloads servable by name, with the same default
-/// parameterizations as `prophet demo`.
+/// One bundled demo workload: name, description, and constructor with
+/// the same default parameterization as `prophet demo`.
+type Demo = (&'static str, &'static str, fn() -> Model);
+
+/// The bundled demo workloads servable by name.
+const DEMOS: [Demo; 10] = [
+    (
+        "sample",
+        "the paper's Figure-5/8 sample model",
+        models::sample_model,
+    ),
+    (
+        "kernel6",
+        "Livermore kernel 6 (general linear recurrence)",
+        || models::kernel6_model(1000, 10, 1e-9),
+    ),
+    (
+        "jacobi",
+        "distributed Jacobi relaxation with halo exchange",
+        || models::jacobi_model(1_000_000, 20, 1e-8),
+    ),
+    (
+        "lapw0",
+        "LAPW0 material-science phase (ASKALON case study)",
+        || models::lapw0_model(64, 32, 1e-4),
+    ),
+    ("pipeline", "point-to-point ring pipeline", || {
+        models::pipeline_model(32, 0.01, 4096)
+    }),
+    ("master_worker", "master/worker task farm", || {
+        models::master_worker_model(64, 0.01, 256)
+    }),
+    (
+        "task_farm",
+        "iterative broadcast/reduce task farm with stateful steering",
+        || models::task_farm_model(8, 0.002, 512),
+    ),
+    (
+        "branching_pipeline",
+        "pipeline with parity-branched stage costs",
+        || models::branching_pipeline_model(24, 0.004, 2048),
+    ),
+    (
+        "halo_ring",
+        "wrap-around ring halo exchange with step norm",
+        || models::halo_ring_model(16, 0.003, 4096),
+    ),
+    (
+        "mapreduce",
+        "scatter/map/shuffle/reduce job with paired shuffle",
+        || models::mapreduce_model(4096, 1e-6, 64),
+    ),
+];
+
+/// The bundled demo workloads servable by name, with their descriptions.
 pub fn demo_models() -> Vec<(&'static str, &'static str)> {
-    vec![
-        ("sample", "the paper's Figure-5/8 sample model"),
-        ("kernel6", "Livermore kernel 6 (general linear recurrence)"),
-        ("jacobi", "distributed Jacobi relaxation with halo exchange"),
-        ("lapw0", "LAPW0 material-science phase (ASKALON case study)"),
-        ("pipeline", "point-to-point ring pipeline"),
-        ("master_worker", "master/worker task farm"),
-        (
-            "task_farm",
-            "iterative broadcast/reduce task farm with stateful steering",
-        ),
-        (
-            "branching_pipeline",
-            "pipeline with parity-branched stage costs",
-        ),
-        ("halo_ring", "wrap-around ring halo exchange with step norm"),
-        (
-            "mapreduce",
-            "scatter/map/shuffle/reduce job with paired shuffle",
-        ),
-    ]
+    DEMOS
+        .iter()
+        .map(|&(name, about, _)| (name, about))
+        .collect()
 }
 
 /// A bundled demo model by name.
@@ -133,36 +169,18 @@ pub fn demo_models() -> Vec<(&'static str, &'static str)> {
 /// (already through one serialize→parse roundtrip), so per-request work
 /// is a clone and the pool-key digest never needs to re-normalize them.
 pub fn demo_model(name: &str) -> Option<Model> {
-    static CACHE: std::sync::OnceLock<Vec<(&'static str, Model)>> = std::sync::OnceLock::new();
+    static CACHE: std::sync::OnceLock<Vec<Model>> = std::sync::OnceLock::new();
     let cache = CACHE.get_or_init(|| {
-        [
-            ("sample", models::sample_model()),
-            ("kernel6", models::kernel6_model(1000, 10, 1e-9)),
-            ("jacobi", models::jacobi_model(1_000_000, 20, 1e-8)),
-            ("lapw0", models::lapw0_model(64, 32, 1e-4)),
-            ("pipeline", models::pipeline_model(32, 0.01, 4096)),
-            ("master_worker", models::master_worker_model(64, 0.01, 256)),
-            ("task_farm", models::task_farm_model(8, 0.002, 512)),
-            (
-                "branching_pipeline",
-                models::branching_pipeline_model(24, 0.004, 2048),
-            ),
-            ("halo_ring", models::halo_ring_model(16, 0.003, 4096)),
-            ("mapreduce", models::mapreduce_model(4096, 1e-6, 64)),
-        ]
-        .into_iter()
-        .map(|(name, model)| {
-            let normalized =
-                prophet_uml::xmi::model_from_xml(&prophet_uml::xmi::model_to_xml(&model))
-                    .expect("bundled models roundtrip");
-            (name, normalized)
-        })
-        .collect()
+        DEMOS
+            .iter()
+            .map(|(_, _, build)| {
+                prophet_uml::xmi::model_from_xml(&prophet_uml::xmi::model_to_xml(&build()))
+                    .expect("bundled models roundtrip")
+            })
+            .collect()
     });
-    cache
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, m)| m.clone())
+    let index = DEMOS.iter().position(|(n, _, _)| *n == name)?;
+    Some(cache[index].clone())
 }
 
 /// An error response: status + `{"error": message}` body.
@@ -475,13 +493,7 @@ fn handle_estimate(state: &AppState, req: &Request, spans: &mut SpanSet) -> Resp
         Ok(pair) => pair,
         Err(r) => return r,
     };
-    let mut scenario = Scenario::new(sp).with_backend(backend).without_trace();
-    if let Some(seed) = body.get("seed") {
-        match seed.as_usize() {
-            Some(seed) => scenario = scenario.with_seed(seed as u64),
-            None => return error_response(400, "`seed` must be a non-negative integer"),
-        }
-    }
+    let scenario = Scenario::new(sp).with_backend(backend).without_trace();
     spans.mark(Phase::Parse);
     let (session, reused) = match resolve_session(state, &body, spans) {
         Ok(pair) => pair,

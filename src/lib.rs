@@ -53,9 +53,6 @@
 //! deterministic communication-free models, within 1e-9 relative on
 //! deterministic message-passing ones.
 //!
-//! Migrating from the deprecated single-shot `Project` API? See the
-//! migration map in [`core::project`].
-//!
 //! See `examples/` for runnable end-to-end scenarios and `DESIGN.md` /
 //! `EXPERIMENTS.md` for the reproduction map.
 

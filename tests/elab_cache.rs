@@ -2,21 +2,24 @@
 //! memoization.
 //!
 //! For every bundled workload model, an SP sweep served from the
-//! session's `ElaborationCache` must be **bit-identical** to the same
-//! sweep with the cache disabled — on both backends, at every seed —
-//! and the hit/miss counters must match the predicted S-vs-S×R pattern:
-//! a sweep over S SP points × R seeds × both backends performs exactly
-//! S elaborations (the first sweep's misses); every other evaluation is
-//! a hit.
+//! session's `ElaborationCache` must be **bit-identical** to the
+//! uncached reference — a fresh `Estimator::run_backend` elaboration
+//! per point — on both backends and on every repeat, and the hit/miss
+//! counters must match the predicted S-vs-S×R pattern: R repeated
+//! sweeps over S SP points × both backends perform exactly S
+//! elaborations (the first sweep's misses); every other evaluation is a
+//! hit.
 
 use prophet::core::{Backend, ElabStats, EstimatorOptions, Scenario, Session, SweepConfig};
-use prophet::machine::SystemParams;
+use prophet::estimator::Estimator;
+use prophet::machine::{CommParams, MachineModel, SystemParams};
 use prophet::uml::Model;
 use prophet::workloads::models::{
     jacobi_model, kernel6_model, lapw0_model, master_worker_model, pipeline_model, sample_model,
 };
 
-const SEEDS: [u64; 4] = [0x5EED, 1, 42, u64::MAX];
+/// How many times each grid is swept (R in the S-vs-S×R pattern).
+const REPEATS: u64 = 4;
 
 fn flat_grid() -> Vec<SystemParams> {
     [1, 2, 3, 4, 6, 8, 12, 16]
@@ -51,20 +54,9 @@ fn cases() -> Vec<(&'static str, Model, Vec<SystemParams>)> {
     ]
 }
 
-fn sweep_times(
-    session: &Session,
-    grid: &[SystemParams],
-    backend: Backend,
-    seed: u64,
-    no_elab_cache: bool,
-) -> Vec<Option<f64>> {
+fn sweep_times(session: &Session, grid: &[SystemParams], backend: Backend) -> Vec<Option<f64>> {
     let config = SweepConfig {
         backend,
-        no_elab_cache,
-        options: EstimatorOptions {
-            seed,
-            ..Default::default()
-        },
         ..Default::default()
     };
     let points: Vec<_> = grid
@@ -72,6 +64,23 @@ fn sweep_times(
         .map(|&sp| prophet::core::SweepPoint { sp })
         .collect();
     session.sweep_with(&points, &config, |_, _| {}).times()
+}
+
+/// The uncached reference: every point elaborated from scratch by
+/// `Estimator::run_backend`, tracing off as in a sweep.
+fn uncached_times(session: &Session, grid: &[SystemParams], backend: Backend) -> Vec<Option<f64>> {
+    let options = EstimatorOptions {
+        trace: false,
+        ..Default::default()
+    };
+    grid.iter()
+        .map(|&sp| {
+            let machine = MachineModel::new(sp, CommParams::default()).ok()?;
+            Estimator::run_backend(backend, session.program(), &machine, &options)
+                .ok()
+                .map(|e| e.predicted_time)
+        })
+        .collect()
 }
 
 fn assert_bit_identical(name: &str, backend: Backend, a: &[Option<f64>], b: &[Option<f64>]) {
@@ -89,35 +98,36 @@ fn assert_bit_identical(name: &str, backend: Backend, a: &[Option<f64>], b: &[Op
     }
 }
 
-/// Headline equivalence: cached sweeps are bit-identical to uncached
-/// sweeps for every model × backend × seed.
+/// Headline equivalence: cached sweeps — the first one (misses) and
+/// every repeat (hits) — are bit-identical to the uncached reference for
+/// every model × backend.
 #[test]
 fn cached_sweeps_are_bit_identical_to_uncached() {
     for (name, model, grid) in cases() {
         let session = Session::new(model).unwrap_or_else(|e| panic!("{name}: {e}"));
         for backend in [Backend::Simulation, Backend::Analytic] {
-            for seed in SEEDS {
-                let cached = sweep_times(&session, &grid, backend, seed, false);
-                let uncached = sweep_times(&session, &grid, backend, seed, true);
+            let uncached = uncached_times(&session, &grid, backend);
+            for _ in 0..REPEATS {
+                let cached = sweep_times(&session, &grid, backend);
                 assert_bit_identical(name, backend, &cached, &uncached);
             }
         }
     }
 }
 
-/// Counter contract: S SP points × R seeds × both backends = S misses,
-/// everything else hits — the flatten-once sweep pattern.
+/// Counter contract: R repeated sweeps over S SP points × both backends
+/// = S misses, everything else hits — the flatten-once sweep pattern.
 #[test]
 fn counters_match_the_s_vs_sxr_pattern() {
     for (name, model, grid) in cases() {
         let session = Session::new(model).unwrap_or_else(|e| panic!("{name}: {e}"));
         let s = grid.len() as u64;
-        let r = SEEDS.len() as u64;
+        let r = REPEATS;
         assert_eq!(session.elab_stats(), ElabStats::default(), "{name}");
 
-        // R seed sweeps on the simulation backend: S misses, S×(R−1) hits.
-        for seed in SEEDS {
-            sweep_times(&session, &grid, Backend::Simulation, seed, false);
+        // R sweeps on the simulation backend: S misses, S×(R−1) hits.
+        for _ in 0..r {
+            sweep_times(&session, &grid, Backend::Simulation);
         }
         let stats = session.elab_stats();
         assert_eq!(stats.misses, s, "{name}: {stats:?}");
@@ -126,17 +136,13 @@ fn counters_match_the_s_vs_sxr_pattern() {
 
         // The analytic backend reuses the same elaborations: no new
         // misses, S more hits — S×R×2 evaluations, S flattens total.
-        for seed in SEEDS {
-            sweep_times(&session, &grid, Backend::Analytic, seed, false);
+        for _ in 0..r {
+            sweep_times(&session, &grid, Backend::Analytic);
         }
         let stats = session.elab_stats();
         assert_eq!(stats.misses, s, "{name}: backends must share: {stats:?}");
         assert_eq!(stats.hits, s * (2 * r - 1), "{name}: {stats:?}");
         assert_eq!(stats.lookups(), s * r * 2, "{name}: {stats:?}");
-
-        // Uncached sweeps leave the counters alone.
-        sweep_times(&session, &grid, Backend::Simulation, SEEDS[0], true);
-        assert_eq!(session.elab_stats(), stats, "{name}: bypass flag leaked");
     }
 }
 
@@ -146,14 +152,12 @@ fn counters_match_the_s_vs_sxr_pattern() {
 fn evaluate_and_sweep_share_one_cache() {
     let session = Session::new(jacobi_model(50_000, 3, 1e-8)).unwrap();
     let grid = flat_grid();
-    sweep_times(&session, &grid, Backend::Simulation, 7, false);
+    sweep_times(&session, &grid, Backend::Simulation);
     let before = session.elab_stats();
 
     // Tracing differs from the sweep's forced-off tracing but is not
     // part of the elaboration key: still a hit.
-    let e = session
-        .evaluate(&Scenario::new(grid[3]).with_seed(99))
-        .unwrap();
+    let e = session.evaluate(&Scenario::new(grid[3])).unwrap();
     assert!(!e.trace.is_empty());
     let stats = session.elab_stats();
     assert_eq!(stats.misses, before.misses);
@@ -161,11 +165,7 @@ fn evaluate_and_sweep_share_one_cache() {
 
     // A comm-parameter change is part of the key: a miss, not a stale hit.
     let fast = session
-        .evaluate(
-            &Scenario::new(grid[3])
-                .with_comm(prophet::machine::CommParams::fast_interconnect())
-                .with_seed(99),
-        )
+        .evaluate(&Scenario::new(grid[3]).with_comm(CommParams::fast_interconnect()))
         .unwrap();
     assert_eq!(session.elab_stats().misses, before.misses + 1);
     // And the prediction differs (jacobi communicates), proving the

@@ -24,8 +24,9 @@
 //! Seeding is deterministic (see `proptest-shim`); CI pins the case
 //! budget with `PROPTEST_CASES`.
 
-use prophet::core::{Backend, Scenario, Session};
-use prophet::machine::SystemParams;
+use prophet::core::{Backend, EstimatorOptions, Scenario, Session};
+use prophet::estimator::Estimator;
+use prophet::machine::{CommParams, MachineModel, SystemParams};
 use prophet::uml::{DiagramId, ElementId, Model, ModelBuilder, TagValue, VarType};
 use proptest::prelude::*;
 
@@ -338,6 +339,19 @@ fn grid() -> [SystemParams; 4] {
     })
 }
 
+/// The uncached reference: one fresh elaboration through
+/// `Estimator::run_backend`, with no session cache involved.
+fn uncached(session: &Session, backend: Backend, sp: SystemParams) -> f64 {
+    let machine = MachineModel::new(sp, CommParams::default()).unwrap();
+    let options = EstimatorOptions {
+        trace: false,
+        ..Default::default()
+    };
+    Estimator::run_backend(backend, session.program(), &machine, &options)
+        .unwrap()
+        .predicted_time
+}
+
 fn rel_diff(a: f64, b: f64) -> f64 {
     let scale = a.abs().max(b.abs()).max(f64::MIN_POSITIVE);
     (a - b).abs() / scale
@@ -348,8 +362,8 @@ proptest! {
 
     /// The differential property: for every generated model and SP
     /// point, simulation and analytic agree within the conformance
-    /// tolerance, and cached evaluation is bit-identical to uncached on
-    /// both backends.
+    /// tolerance, and cached evaluation is bit-identical to the uncached
+    /// reference (`Estimator::run_backend`) on both backends.
     #[test]
     fn generated_models_survive_the_whole_pipeline(segs in workload()) {
         let model = build_model(&segs);
@@ -362,14 +376,13 @@ proptest! {
             }
         };
         for sp in grid() {
-            let eval = |backend: Backend, no_cache: bool| {
-                let mut scenario = Scenario::new(sp).without_trace().with_backend(backend);
-                scenario.no_elab_cache = no_cache;
+            let eval = |backend: Backend| {
+                let scenario = Scenario::new(sp).without_trace().with_backend(backend);
                 session.evaluate(&scenario).map(|e| e.predicted_time)
             };
-            let sim = eval(Backend::Simulation, false)
+            let sim = eval(Backend::Simulation)
                 .map_err(|e| TestCaseError::fail(format!("sim {sp:?}: {e}\nspec: {segs:?}")))?;
-            let ana = eval(Backend::Analytic, false)
+            let ana = eval(Backend::Analytic)
                 .map_err(|e| TestCaseError::fail(format!("ana {sp:?}: {e}\nspec: {segs:?}")))?;
             prop_assert!(
                 rel_diff(sim, ana) <= REL_TOL,
@@ -377,8 +390,8 @@ proptest! {
                 rel_diff(sim, ana)
             );
             // Cache transparency, both backends, bit-exact.
-            let sim_raw = eval(Backend::Simulation, true).unwrap();
-            let ana_raw = eval(Backend::Analytic, true).unwrap();
+            let sim_raw = uncached(&session, Backend::Simulation, sp);
+            let ana_raw = uncached(&session, Backend::Analytic, sp);
             prop_assert_eq!(
                 sim.to_bits(), sim_raw.to_bits(),
                 "cached simulation diverged at {:?}\nspec: {:?}", sp, segs
@@ -394,12 +407,13 @@ proptest! {
         prop_assert_eq!(stats.hits, 4, "second backend must reuse: {:?}", stats);
     }
 
-    /// Cached sweeps of generated models are bit-identical to uncached
-    /// sweeps across repeated points (the repeat is what the cache
-    /// serves) — the sweep-level analogue of the scenario property.
+    /// Cached sweeps of generated models are bit-identical to the
+    /// uncached reference across repeated points and repeated sweeps
+    /// (the repeats are what the cache serves) — the sweep-level
+    /// analogue of the scenario property.
     #[test]
     fn generated_model_sweeps_are_cache_transparent(segs in workload()) {
-        use prophet::core::{EstimatorOptions, SweepConfig, SweepPoint};
+        use prophet::core::{SweepConfig, SweepPoint};
         let session = Session::new(build_model(&segs)).map_err(|e| {
             TestCaseError::fail(format!("compile: {e}\nspec: {segs:?}"))
         })?;
@@ -409,25 +423,22 @@ proptest! {
             .into_iter()
             .map(|sp| SweepPoint { sp })
             .collect();
-        let sweep = |no_elab_cache: bool, seed: u64| {
-            let config = SweepConfig {
-                no_elab_cache,
-                options: EstimatorOptions { seed, ..Default::default() },
-                ..Default::default()
-            };
-            session.sweep_with(&points, &config, |_, _| {}).times()
-        };
-        for seed in [0x5EED_u64, 7] {
-            let cached = sweep(false, seed);
-            let uncached = sweep(true, seed);
-            for (i, (c, u)) in cached.iter().zip(uncached.iter()).enumerate() {
+        let reference: Vec<u64> = points
+            .iter()
+            .map(|p| uncached(&session, Backend::Simulation, p.sp).to_bits())
+            .collect();
+        for sweep in 0..2 {
+            let cached = session
+                .sweep_with(&points, &SweepConfig::default(), |_, _| {})
+                .times();
+            for (i, (c, u)) in cached.iter().zip(&reference).enumerate() {
                 prop_assert_eq!(
-                    c.map(f64::to_bits), u.map(f64::to_bits),
-                    "point {} diverged under caching (seed {})\nspec: {:?}", i, seed, segs
+                    c.map(f64::to_bits), Some(*u),
+                    "point {} diverged under caching (sweep {})\nspec: {:?}", i, sweep, segs
                 );
             }
         }
-        // 3 distinct SP keys among 5 points × 2 seeds (cached runs only).
+        // 3 distinct SP keys among 5 points × 2 sweeps.
         let stats = session.elab_stats();
         prop_assert_eq!(stats.misses, 3, "{:?}", stats);
         prop_assert_eq!(stats.hits, 10 - 3, "{:?}", stats);

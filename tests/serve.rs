@@ -114,6 +114,29 @@ fn two_estimates_compile_once_and_hit_the_elab_cache() {
     server.shutdown();
 }
 
+/// `seed` is accepted for compatibility and ignored: no bundled model
+/// draws from a random stream, so it cannot change a prediction. Any
+/// value, well-formed or not, answers exactly as its absence does.
+#[test]
+fn estimate_ignores_the_seed_member() {
+    let server = start();
+    let addr = server.addr();
+    let estimate = |seed: Option<Json>| {
+        let mut members = vec![
+            ("model_name", Json::from("jacobi")),
+            ("nodes", Json::from(4usize)),
+        ];
+        members.extend(seed.map(|seed| ("seed", seed)));
+        let resp = client::post(addr, "/v1/estimate", &Json::object(members)).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        field(&resp.body, &["predicted_time"]).to_bits()
+    };
+    let absent = estimate(None);
+    assert_eq!(estimate(Some(Json::from(7usize))), absent);
+    assert_eq!(estimate(Some(Json::from("x"))), absent);
+    server.shutdown();
+}
+
 #[test]
 fn check_estimate_sweep_agree_with_the_library() {
     let server = start();

@@ -16,6 +16,11 @@ use prophet::machine::SystemParams;
 use prophet::serve::api::{demo_model, demo_models};
 use std::path::PathBuf;
 
+/// `flatten_invocations` is a process-wide counter, so the test that
+/// counts flattens must not overlap another test in this binary that
+/// flattens; both hold this lock.
+static FLATTENS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// A unique, cleaned temp directory per test.
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("prophet-store-it-{tag}-{}", std::process::id()));
@@ -25,6 +30,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn every_demo_model_roundtrips_bit_identically() {
+    let _flattens = FLATTENS.lock().unwrap_or_else(|e| e.into_inner());
     let dir = temp_dir("demos");
     let store = ArtifactStore::open(&dir).unwrap();
     for (name, _) in demo_models() {
@@ -64,6 +70,7 @@ fn every_demo_model_roundtrips_bit_identically() {
 
 #[test]
 fn store_hit_skips_check_transform_and_flatten() {
+    let _flattens = FLATTENS.lock().unwrap_or_else(|e| e.into_inner());
     let dir = temp_dir("skips");
     let model = demo_model("jacobi").unwrap();
     let mcf = McfConfig::default();
