@@ -4,6 +4,8 @@
 //! [`trajectory`] recorder behind the committed `BENCH_*.json`
 //! perf-trajectory files.
 
+#![forbid(unsafe_code)]
+
 pub mod trajectory;
 
 use prophet_uml::{Model, ModelBuilder, VarType};

@@ -14,8 +14,8 @@
 //! * [`session`] — **the engine API**: [`Session::compile`] runs check +
 //!   transform exactly once; [`Session::evaluate`], [`Session::sweep`]
 //!   and [`Session::batch`] then answer any number of "what if"
-//!   scenarios against the immutable artifacts, in parallel and
-//!   lock-free. Each session owns a shared
+//!   scenarios against the immutable artifacts, in parallel. Each
+//!   session owns a shared
 //!   [`ElaborationCache`]: the per-rank op
 //!   lists are flattened once per distinct `(SP, comm, limits)` point
 //!   and served to every evaluation, worker thread and backend that
@@ -63,6 +63,8 @@
 //! Heterogeneous scenario sets (different interconnects or limits, not
 //! just SP grids) go through [`Session::batch`]; progress streaming for
 //! both goes through [`Session::sweep_with`] / [`Session::batch_with`].
+
+#![forbid(unsafe_code)]
 
 pub mod error;
 pub mod ring;

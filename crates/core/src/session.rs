@@ -195,7 +195,7 @@ pub struct Session {
 // The serve layer shares one `Session` per model across all connection
 // worker threads via `Arc<Session>`; keep that capability pinned at
 // compile time (every field is owned data or an `Arc` over the
-// lock-free elaboration cache — no interior mutability that isn't
+// mutex-indexed elaboration cache — no interior mutability that isn't
 // thread-safe).
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}

@@ -23,19 +23,19 @@
 //! * **Storage.** Each entry holds one [`RankOps`]: an
 //!   `Arc<[Arc<[PrimOp]>]>` — one shared op list per rank. Both backends
 //!   borrow these lists; nothing is cloned per evaluation.
-//! * **Concurrency.** Sharded, insert-only, lock-free index: each shard
-//!   is an atomic singly-linked list pushed with compare-exchange
-//!   (losers rescan, so a key is interned exactly once), and each
-//!   entry's value is a [`OnceLock`] — the first worker to need an SP
-//!   point elaborates it while any concurrent worker for the *same*
+//! * **Concurrency.** One `Mutex<HashMap<ElabKey, Arc<Entry>>>` index,
+//!   held only to find or insert an entry. Each entry's value is a
+//!   [`OnceLock`] filled *outside* the lock: the first worker to need an
+//!   SP point elaborates it while any concurrent worker for the *same*
 //!   point waits on the `OnceLock` instead of flattening again. Workers
-//!   for different points never contend.
+//!   for different points share only the brief index lookup.
 //! * **Invalidation.** None, by construction: entries are immutable and
 //!   the inputs are content-hashed, so a cache can never serve an op
 //!   list that doesn't match its key. A *different* program requires a
 //!   different cache (a new `Session`).
 //! * **Memory bounds.** The cache holds at most `capacity` entries
-//!   (default [`DEFAULT_CAPACITY`]); once full, new keys bypass the
+//!   (default [`DEFAULT_CAPACITY`]), checked under the index lock, so the
+//!   bound is exact under concurrency. Once full, new keys bypass the
 //!   cache — they flatten uncached and are dropped after use, counted
 //!   in [`ElabStats::bypasses`]. Each entry's size is the flattened
 //!   model itself (bounded per rank by [`FlattenLimits::max_ops`]), so
@@ -50,9 +50,10 @@ use crate::batch::BatchProgram;
 use crate::flatten::{flatten_for_process, FlattenError, FlattenLimits, PrimOp};
 use crate::program::Program;
 use prophet_machine::{CommParams, MachineModel, SystemParams};
+use std::collections::{hash_map, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// The elaboration of one scenario: one shared op list per MPI rank.
 pub type RankOps = Arc<[Arc<[PrimOp]>]>;
@@ -75,7 +76,7 @@ pub fn flatten_all(
 
 /// Content key of one elaboration: everything [`flatten_all`] reads
 /// besides the program itself.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ElabKey {
     nodes: usize,
     cpus_per_node: usize,
@@ -132,44 +133,18 @@ impl ElabKey {
             send_overhead: f64::from_bits(self.comm_bits[4]),
         }
     }
-
-    /// FNV-1a content hash (stable; shard + bucket selector).
-    fn hash(&self) -> u64 {
-        let mut h = crate::flatten::Fnv::new();
-        h.word(self.nodes as u64);
-        h.word(self.cpus_per_node as u64);
-        h.word(self.processes as u64);
-        h.word(self.threads_per_process as u64);
-        for bits in self.comm_bits {
-            h.word(bits);
-        }
-        h.word(self.limits.max_ops as u64);
-        h.word(self.limits.max_loop_iterations);
-        h.finish()
-    }
 }
 
-/// One interned key: the value slot fills exactly once.
-struct Node {
-    hash: u64,
-    key: ElabKey,
+/// One interned key: each value slot fills exactly once.
+#[derive(Default)]
+struct Entry {
     slot: OnceLock<Result<RankOps, FlattenError>>,
     /// The entry's elaboration compiled for batch analytic evaluation,
     /// built on first [`ElaborationCache::get_or_flatten_batched`] —
     /// `None` when preparation failed (callers use the per-point
     /// oracle). Simulation-only sweeps never pay for it.
     batch: OnceLock<Option<Arc<BatchProgram>>>,
-    /// Immutable after publication (set before the CAS that links it).
-    next: *mut Node,
 }
-
-struct Shard {
-    head: AtomicPtr<Node>,
-}
-
-/// Shard count: enough to keep concurrent sweep workers on distinct SP
-/// points from touching the same list head.
-const SHARDS: usize = 16;
 
 /// Default entry capacity of [`ElaborationCache::new`].
 pub const DEFAULT_CAPACITY: usize = 1024;
@@ -230,32 +205,12 @@ impl ElabEntry {
 /// memory-bound details. Shareable by reference across sweep worker
 /// threads; `prophet_core::Session` owns one per compiled model.
 pub struct ElaborationCache {
-    shards: [Shard; SHARDS],
-    entries: AtomicUsize,
+    entries: Mutex<HashMap<ElabKey, Arc<Entry>>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     bypasses: AtomicU64,
 }
-
-// The cache is auto-`Send`/`Sync` (its fields are atomics and plain
-// data), but `AtomicPtr` erases the shared `Node` payload from the
-// compiler's view: soundness additionally requires that everything a
-// published `&Node` exposes is itself thread-safe. Assert that here so
-// a future non-`Sync` ingredient (an `Rc`/`Cell` inside `PrimOp`,
-// `FlattenError`, …) becomes a compile error instead of a data race.
-// The remaining manual invariants are structural: nodes are only ever
-// appended (`next` is immutable after the publishing CAS), values fill
-// through a `OnceLock`, and no node is freed before the cache drops.
-const _: () = {
-    const fn thread_safe<T: Send + Sync>() {}
-    thread_safe::<ElabKey>();
-    thread_safe::<RankOps>();
-    thread_safe::<FlattenError>();
-    thread_safe::<OnceLock<Result<RankOps, FlattenError>>>();
-    thread_safe::<OnceLock<Option<Arc<BatchProgram>>>>();
-    thread_safe::<ElaborationCache>();
-};
 
 impl Default for ElaborationCache {
     fn default() -> Self {
@@ -283,10 +238,7 @@ impl ElaborationCache {
     /// bound flatten uncached ([`ElabStats::bypasses`]).
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            shards: std::array::from_fn(|_| Shard {
-                head: AtomicPtr::new(std::ptr::null_mut()),
-            }),
-            entries: AtomicUsize::new(0),
+            entries: Mutex::new(HashMap::new()),
             capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -309,23 +261,10 @@ impl ElaborationCache {
         machine: &MachineModel,
         limits: FlattenLimits,
     ) -> Result<RankOps, FlattenError> {
-        let key = ElabKey::new(machine, limits);
-        let hash = key.hash();
-        let Some(node) = self.intern(key, hash) else {
-            self.bypasses.fetch_add(1, Ordering::Relaxed);
-            return flatten_all(program, machine, limits);
-        };
-        let mut filled = false;
-        let result = node.slot.get_or_init(|| {
-            filled = true;
-            flatten_all(program, machine, limits)
-        });
-        if filled {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        match self.lookup(program, machine, limits) {
+            Some((_, ops)) => ops,
+            None => flatten_all(program, machine, limits),
         }
-        result.clone()
     }
 
     /// [`ElaborationCache::get_or_flatten`], additionally serving the
@@ -348,24 +287,11 @@ impl ElaborationCache {
         machine: &MachineModel,
         limits: FlattenLimits,
     ) -> Result<(RankOps, Option<Arc<BatchProgram>>), FlattenError> {
-        let key = ElabKey::new(machine, limits);
-        let hash = key.hash();
-        let Some(node) = self.intern(key, hash) else {
-            self.bypasses.fetch_add(1, Ordering::Relaxed);
+        let Some((entry, ops)) = self.lookup(program, machine, limits) else {
             return Ok((flatten_all(program, machine, limits)?, None));
         };
-        let mut filled = false;
-        let result = node.slot.get_or_init(|| {
-            filled = true;
-            flatten_all(program, machine, limits)
-        });
-        if filled {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        let ops = result.clone()?;
-        let batch = node
+        let ops = ops?;
+        let batch = entry
             .batch
             .get_or_init(|| BatchProgram::prepare(&ops, machine).ok().map(Arc::new))
             .clone();
@@ -390,14 +316,12 @@ impl ElaborationCache {
         limits: FlattenLimits,
         ops: RankOps,
     ) -> bool {
-        let key = ElabKey::from_parts(sp, comm, limits);
-        let hash = key.hash();
-        let Some(node) = self.intern(key, hash) else {
+        let Some(entry) = self.intern(ElabKey::from_parts(sp, comm, limits)) else {
             return false;
         };
         // First writer wins; racing a concurrent flatten (or an earlier
         // seed) of the same key is benign — both values are correct.
-        let _ = node.slot.set(Ok(ops));
+        let _ = entry.slot.set(Ok(ops));
         true
     }
 
@@ -407,23 +331,19 @@ impl ElaborationCache {
     /// freshly), and unfilled entries (a concurrent flatten still in
     /// flight) are skipped rather than waited for.
     pub fn snapshot(&self) -> Vec<ElabEntry> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let mut cur = shard.head.load(Ordering::Acquire);
-            while !cur.is_null() {
-                // SAFETY: published nodes live until the cache drops.
-                let node = unsafe { &*cur };
-                if let Some(Ok(ops)) = node.slot.get() {
-                    out.push(ElabEntry {
-                        sp: node.key.sp(),
-                        comm: node.key.comm(),
-                        limits: node.key.limits,
-                        ops: ops.clone(),
-                    });
-                }
-                cur = node.next;
-            }
-        }
+        let mut out: Vec<ElabEntry> = self
+            .index()
+            .iter()
+            .filter_map(|(key, entry)| match entry.slot.get() {
+                Some(Ok(ops)) => Some(ElabEntry {
+                    sp: key.sp(),
+                    comm: key.comm(),
+                    limits: key.limits,
+                    ops: ops.clone(),
+                }),
+                _ => None,
+            })
+            .collect();
         out.sort_by_key(|e| {
             (
                 [
@@ -457,7 +377,7 @@ impl ElaborationCache {
 
     /// Interned entries so far.
     pub fn len(&self) -> usize {
-        self.entries.load(Ordering::Relaxed)
+        self.index().len()
     }
 
     /// Whether no entry has been interned yet.
@@ -470,88 +390,49 @@ impl ElaborationCache {
         self.capacity
     }
 
-    /// Atomically claim one of the `capacity` entry slots; the claim is
-    /// either consumed by a successful insert or returned with
-    /// `fetch_sub`. Reserving *before* publishing keeps the bound hard
-    /// under concurrency (a plain load-then-insert would let two
-    /// threads racing past the same count both publish).
-    fn reserve_entry(&self) -> bool {
-        self.entries
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                (n < self.capacity).then_some(n + 1)
-            })
-            .is_ok()
+    fn index(&self) -> MutexGuard<'_, HashMap<ElabKey, Arc<Entry>>> {
+        self.entries.lock().expect("elaboration cache lock")
     }
 
-    /// Find or insert the node for `key`. Returns `None` when the cache
-    /// is at capacity and the key is not already interned.
-    fn intern(&self, key: ElabKey, hash: u64) -> Option<&Node> {
-        let shard = &self.shards[hash as usize % SHARDS];
-        let mut new_node: *mut Node = std::ptr::null_mut();
-        let mut reserved = false;
-        let found = 'search: loop {
-            let head = shard.head.load(Ordering::Acquire);
-            let mut cur = head;
-            while !cur.is_null() {
-                // SAFETY: published nodes live until the cache drops.
-                let n = unsafe { &*cur };
-                if n.hash == hash && n.key == key {
-                    break 'search Some(n);
-                }
-                cur = n.next;
-            }
-            // Hold the slot reservation across CAS retries; it is
-            // consumed by a successful insert and released below
-            // otherwise.
-            if !reserved {
-                if !self.reserve_entry() {
-                    break 'search None;
-                }
-                reserved = true;
-            }
-            if new_node.is_null() {
-                new_node = Box::into_raw(Box::new(Node {
-                    hash,
-                    key,
-                    slot: OnceLock::new(),
-                    batch: OnceLock::new(),
-                    next: head,
-                }));
-            } else {
-                // SAFETY: not yet published; we still own it exclusively.
-                unsafe { (*new_node).next = head };
-            }
-            if shard
-                .head
-                .compare_exchange(head, new_node, Ordering::Release, Ordering::Acquire)
-                .is_ok()
-            {
-                // SAFETY: just published; lives until the cache drops.
-                return Some(unsafe { &*new_node });
-            }
-            // CAS lost: another key (or this one) was pushed — rescan.
+    /// Intern the entry for `(machine, limits)` and fill its op lists,
+    /// counting the lookup as a hit or a miss. `None` (counted as a
+    /// bypass) when the cache is at capacity and the key is new.
+    ///
+    /// The flatten runs outside the index lock: concurrent callers for
+    /// the same key wait on the entry's `OnceLock`, not on the index.
+    fn lookup(
+        &self,
+        program: &Program,
+        machine: &MachineModel,
+        limits: FlattenLimits,
+    ) -> Option<(Arc<Entry>, Result<RankOps, FlattenError>)> {
+        let Some(entry) = self.intern(ElabKey::new(machine, limits)) else {
+            self.bypasses.fetch_add(1, Ordering::Relaxed);
+            return None;
         };
-        // Not inserted: lost to an identical key, or at capacity.
-        if !new_node.is_null() {
-            // SAFETY: new_node was never published.
-            drop(unsafe { Box::from_raw(new_node) });
-        }
-        if reserved {
-            self.entries.fetch_sub(1, Ordering::Relaxed);
-        }
-        found
+        let mut filled = false;
+        let ops = entry
+            .slot
+            .get_or_init(|| {
+                filled = true;
+                flatten_all(program, machine, limits)
+            })
+            .clone();
+        let counter = if filled { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Some((entry, ops))
     }
-}
 
-impl Drop for ElaborationCache {
-    fn drop(&mut self) {
-        for shard in &mut self.shards {
-            let mut cur = *shard.head.get_mut();
-            while !cur.is_null() {
-                // SAFETY: exclusive access in Drop; each node was leaked
-                // from exactly one Box at publication.
-                let node = unsafe { Box::from_raw(cur) };
-                cur = node.next;
+    /// Find or insert the entry for `key`. Returns `None` when the cache
+    /// is at capacity and the key is not already interned; the count is
+    /// checked under the index lock, so the bound is exact.
+    fn intern(&self, key: ElabKey) -> Option<Arc<Entry>> {
+        let mut index = self.index();
+        let len = index.len();
+        match index.entry(key) {
+            hash_map::Entry::Occupied(e) => Some(e.get().clone()),
+            hash_map::Entry::Vacant(v) => {
+                (len < self.capacity).then(|| v.insert(Arc::default()).clone())
             }
         }
     }

@@ -221,7 +221,7 @@ impl std::error::Error for FlattenError {
 /// Part of the elaboration-cache key ([`crate::elab::ElaborationCache`]):
 /// two scenarios with different limits may elaborate differently (one can
 /// fail where the other succeeds), so they never share a cache entry.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlattenLimits {
     /// Maximum primitive ops per process.
     pub max_ops: usize,

@@ -40,6 +40,8 @@
 //! assert!((e.eval(&mut env).unwrap().as_num().unwrap() - 0.07).abs() < 1e-12);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod compile;
 pub mod cpp;

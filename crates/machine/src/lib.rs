@@ -18,6 +18,8 @@
 //! The original system evaluated models on clusters described by SP; this
 //! crate is the simulated stand-in (see DESIGN.md substitution table).
 
+#![forbid(unsafe_code)]
+
 pub mod comm;
 pub mod error;
 pub mod params;

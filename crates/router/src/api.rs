@@ -11,15 +11,17 @@
 //!
 //! **Elastic membership** (`POST /v1/shards`, body
 //! `{"add": ["h:p", ...], "remove": ["h:p", ...]}`) rebuilds the ring
-//! under an epoch-stamped snapshot swap: readers route on an immutable
-//! [`FleetView`] loaded from an atomic pointer — no locks on the hot
-//! path — while the single writer validates the change, warms every
-//! moved key's *new* owner (`POST /v1/warm` on the shard: a disk hit
-//! under a shared store, a compile-prime otherwise), installs the new
-//! view, and only then evicts the moved keys from their surviving old
-//! owners. Consistent hashing bounds the churn: only ~K/N of the keys
-//! change owner on a single join or leave, and never between
-//! survivors.
+//! under an epoch-stamped snapshot swap: each request clones the live
+//! `Arc<FleetView>` once (a brief read lock) and routes on that
+//! immutable snapshot, while a single writer validates the change,
+//! warms every moved key's *new* owner (`POST /v1/warm` on the shard: a
+//! disk hit under a shared store, a compile-prime otherwise), installs
+//! the new view, and only then evicts the moved keys from their
+//! surviving old owners. A replaced view is freed when the last request
+//! routing on it finishes, and with it the handles (and pooled sockets)
+//! of shards that left. Consistent hashing bounds the churn: only ~K/N
+//! of the keys change owner on a single join or leave, and never
+//! between survivors.
 //!
 //! Digest routing is what makes scale-out *compile-once* scale-out: the
 //! router resolves the model exactly like a shard would
@@ -44,8 +46,8 @@ use prophet_serve::json::{self, Json};
 use prophet_serve::metrics::Metrics;
 use prophet_serve::Handler;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 /// Routing counters, all relaxed atomics (same discipline as the serve
@@ -100,23 +102,46 @@ impl FleetView {
 /// past the cap, new keys route fine but rebalance cold.
 const RECIPE_CAPACITY: usize = 1024;
 
+/// Total recipe bytes the router remembers. A recipe can carry an
+/// inline model of up to the request body limit, so the entry cap
+/// alone would not bound memory; past this budget, new keys route fine
+/// but rebalance cold, as past [`RECIPE_CAPACITY`].
+const RECIPE_BYTES: usize = 32 * 1024 * 1024;
+
+/// Routed key → the request members that can re-create it
+/// (`model`/`model_name`/`mcf`), i.e. the body the handoff pass POSTs
+/// to `/v1/warm` on a key's new owner.
+#[derive(Debug, Default)]
+struct Recipes {
+    by_key: HashMap<ArtifactKey, String>,
+    /// Sum of the stored recipes' lengths.
+    bytes: usize,
+}
+
+impl Recipes {
+    /// Store (or replace) `key`'s recipe unless that would cross
+    /// [`RECIPE_CAPACITY`] or [`RECIPE_BYTES`].
+    fn remember(&mut self, key: ArtifactKey, recipe: String) {
+        let old = self.by_key.get(&key).map(String::len);
+        let bytes = self.bytes - old.unwrap_or(0) + recipe.len();
+        if bytes > RECIPE_BYTES || (old.is_none() && self.by_key.len() >= RECIPE_CAPACITY) {
+            return;
+        }
+        self.by_key.insert(key, recipe);
+        self.bytes = bytes;
+    }
+}
+
 /// Everything the router's workers share.
 #[derive(Debug)]
 pub struct RouterState {
-    /// The live [`FleetView`]. The hot path loads this pointer and
-    /// routes on the snapshot — no locks; writers install a new view
-    /// under the `views` mutex.
-    view: AtomicPtr<FleetView>,
-    /// Writer serialization *and* the ownership of every view ever
-    /// installed, the live one included. Retired views are never freed
-    /// while the state lives, so a reader's borrowed snapshot cannot
-    /// dangle; membership changes are operator-rare, so retention
-    /// stays bounded in practice.
-    // The boxes are the point (not clippy's redundant indirection):
-    // `view` holds a raw pointer into an element, so every view needs
-    // an address that survives the Vec growing.
-    #[allow(clippy::vec_box)]
-    views: Mutex<Vec<Box<FleetView>>>,
+    /// The live [`FleetView`]. Each request clones the `Arc` once and
+    /// routes on that snapshot; the write lock is held only to store a
+    /// new view.
+    view: RwLock<Arc<FleetView>>,
+    /// Serializes reconfigurations across their whole validate → warm
+    /// → install → evict handoff.
+    reconfigure: Mutex<()>,
     /// The router's own per-endpoint request metrics.
     pub metrics: Metrics,
     /// Routing counters.
@@ -124,10 +149,8 @@ pub struct RouterState {
     token: Option<String>,
     probe_interval: Duration,
     io_timeout: Duration,
-    /// Routed key → the request members that can re-create it
-    /// (`model`/`model_name`/`mcf`), i.e. the body the handoff pass
-    /// POSTs to `/v1/warm` on a key's new owner.
-    recipes: Mutex<HashMap<ArtifactKey, String>>,
+    /// Prime recipes of routed keys, bounded by count and bytes.
+    recipes: Mutex<Recipes>,
 }
 
 impl RouterState {
@@ -142,31 +165,21 @@ impl RouterState {
             .into_iter()
             .map(|addr| Arc::new(Shard::new(addr, io_timeout)))
             .collect();
-        let first = Box::new(FleetView::new(0, shards));
-        let view = AtomicPtr::new(Box::as_ref(&first) as *const FleetView as *mut FleetView);
         Self {
-            view,
-            views: Mutex::new(vec![first]),
+            view: RwLock::new(Arc::new(FleetView::new(0, shards))),
+            reconfigure: Mutex::new(()),
             metrics: Metrics::default(),
             counters: RouterCounters::default(),
             token,
             probe_interval,
             io_timeout,
-            recipes: Mutex::new(HashMap::new()),
+            recipes: Mutex::new(Recipes::default()),
         }
     }
 
-    /// The live fleet snapshot. Lock-free: one atomic load.
-    pub fn view(&self) -> &FleetView {
-        // Safety: the pointee is owned by `self.views`, which only
-        // ever grows; it is freed when `self` drops, strictly after
-        // this `&self` borrow ends.
-        unsafe { &*self.view.load(Ordering::Acquire) }
-    }
-
-    /// The current shard fleet (for the prober and tests).
-    pub fn shards(&self) -> &[Arc<Shard>] {
-        self.view().shards()
+    /// The live fleet snapshot.
+    pub fn view(&self) -> Arc<FleetView> {
+        Arc::clone(&self.view.read().expect("fleet view lock"))
     }
 
     /// How often the prober sweeps the fleet.
@@ -250,7 +263,7 @@ impl RouterState {
         let key = ArtifactKey::of(&model, &mcf);
         self.remember_recipe(key, &body);
         let view = self.view();
-        self.try_in_order(view, &view.ring.successors(route_key(key)), req)
+        self.try_in_order(&view, &view.ring.successors(route_key(key)), req)
     }
 
     /// Record the prime recipe for a routed key: the body members that
@@ -262,11 +275,10 @@ impl RouterState {
             .filter_map(|name| body.get(name).map(|v| (name, v.clone())))
             .collect();
         let recipe = Json::object(members).encode();
-        let mut recipes = self.recipes.lock().expect("recipe map lock");
-        if recipes.len() >= RECIPE_CAPACITY && !recipes.contains_key(&key) {
-            return; // full: new keys still route, they just rebalance cold
-        }
-        recipes.insert(key, recipe);
+        self.recipes
+            .lock()
+            .expect("recipe map lock")
+            .remember(key, recipe);
     }
 
     /// Forward an un-keyed request (`GET /v1/models`) round-robin.
@@ -275,7 +287,7 @@ impl RouterState {
         let n = view.shards.len();
         let start = self.counters.rr.fetch_add(1, Ordering::Relaxed) % n;
         let order: Vec<usize> = (0..n).map(|offset| (start + offset) % n).collect();
-        self.try_in_order(view, &order, req)
+        self.try_in_order(&view, &order, req)
     }
 
     /// `GET /v1/metrics`: the router's own counters, every shard's
@@ -558,11 +570,13 @@ impl RouterState {
     /// duplicate joins, unknown leaves, add∩remove overlap, or an
     /// emptied fleet), build the next view reusing the survivors'
     /// shard handles (their connection pools and health state carry
-    /// over), warm every moved key's new owner, install the view with
-    /// one atomic pointer store (epoch + 1), and only then evict the
-    /// moved keys from surviving old owners. In-flight requests keep
-    /// routing on the old snapshot throughout; requests started after
-    /// the store route on the new one.
+    /// over), warm every moved key's new owner, install the view under
+    /// a brief write lock (epoch + 1), and only then evict the moved
+    /// keys from surviving old owners. In-flight requests keep routing
+    /// on the old snapshot throughout; requests started after the store
+    /// route on the new one. The old view, and with it every removed
+    /// shard's handle and pooled sockets, is freed when its last
+    /// request finishes.
     fn reconfigure(&self, req: &Request) -> Response {
         let body = match json::parse(&req.body) {
             Ok(body @ Json::Object(_)) => body,
@@ -591,11 +605,10 @@ impl RouterState {
             }
         }
 
-        // One writer at a time; the lock also owns the view history.
-        let mut views = self.views.lock().expect("fleet view history lock");
-        // Safety: same argument as `Self::view` — and under the lock
-        // this is the newest view, the one the change applies to.
-        let current: &FleetView = unsafe { &*self.view.load(Ordering::Acquire) };
+        // One writer at a time: under the lock, the live view is the one
+        // the change applies to.
+        let _writer = self.reconfigure.lock().expect("reconfigure lock");
+        let current = self.view();
         let labels: Vec<String> = current
             .shards
             .iter()
@@ -631,12 +644,13 @@ impl RouterState {
                 .iter()
                 .map(|(_, addr)| Arc::new(Shard::new(*addr, self.io_timeout))),
         );
-        let next = Box::new(FleetView::new(current.epoch + 1, next_shards));
+        let next = Arc::new(FleetView::new(current.epoch + 1, next_shards));
 
         // The handoff set: every remembered key whose owner changes.
         let moved: Vec<(ArtifactKey, String, usize, usize)> = {
             let recipes = self.recipes.lock().expect("recipe map lock");
             recipes
+                .by_key
                 .iter()
                 .filter_map(|(key, recipe)| {
                     let before = current.owner_of(*key);
@@ -665,14 +679,8 @@ impl RouterState {
             }
         }
 
-        // Install: readers see the whole new view or the whole old one.
-        let ptr = Box::as_ref(&next) as *const FleetView as *mut FleetView;
-        let epoch = next.epoch;
-        let shard_count = next.shards.len();
-        // Group evictions by surviving old owner before `next` moves
-        // into the history (removed shards keep their whole pool;
-        // nothing to evict there — their idle connections are closed
-        // after the swap instead).
+        // Group evictions by surviving old owner (removed shards keep
+        // their whole pool; nothing to evict there).
         let mut evict_by_owner: HashMap<String, Vec<ArtifactKey>> = HashMap::new();
         for (key, _, before, _) in &moved {
             let owner = current.shards[*before].addr().to_string();
@@ -680,16 +688,15 @@ impl RouterState {
                 evict_by_owner.entry(owner).or_default().push(*key);
             }
         }
-        views.push(next);
-        self.view.store(ptr, Ordering::Release);
-        let view = self.view();
+        // Install: readers see the whole new view or the whole old one.
+        *self.view.write().expect("fleet view lock") = Arc::clone(&next);
 
         // Old owners drop their moved entries only now, after the
         // swap: they kept answering for those keys until no new
         // request could route to them.
         let mut evicted = 0u64;
         for (owner, keys) in &evict_by_owner {
-            let Some(shard) = view.shards.iter().find(|s| &s.addr().to_string() == owner) else {
+            let Some(shard) = next.shards.iter().find(|s| &s.addr().to_string() == owner) else {
                 continue;
             };
             let items: Vec<Json> = keys
@@ -712,21 +719,12 @@ impl RouterState {
                 }
             }
         }
-        // Removed shards' handles live on in the view history, so shed
-        // their idle keep-alive connections now — each one pins a
-        // worker on the remote serve process until its idle timeout,
-        // and a later re-join would dial a fresh pool anyway.
-        for shard in &current.shards {
-            if remove.contains(&shard.addr().to_string()) {
-                shard.disconnect();
-            }
-        }
         Response::json(
             200,
             Json::object([
                 ("ok", Json::from(true)),
-                ("epoch", Json::from(epoch)),
-                ("shards", Json::from(shard_count)),
+                ("epoch", Json::from(next.epoch)),
+                ("shards", Json::from(next.shards.len())),
                 ("added", Json::from(add.len())),
                 ("removed", Json::from(remove.len())),
                 ("moved", Json::from(moved.len())),
@@ -904,5 +902,93 @@ impl Handler for RouterState {
             None => &self.metrics.other,
         };
         counters.record(latency, error);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::SocketAddr;
+
+    /// A router over `ports` on localhost. Nothing listens there and
+    /// nothing dials them: with no remembered recipes a reconfiguration
+    /// moves no keys, so it warms and evicts nothing.
+    fn state(ports: &[u16]) -> RouterState {
+        let shards = ports
+            .iter()
+            .map(|&port| SocketAddr::from(([127, 0, 0, 1], port)))
+            .collect();
+        let second = Duration::from_secs(1);
+        RouterState::new(shards, None, second, second)
+    }
+
+    fn reconfigure(state: &RouterState, body: &str) -> u16 {
+        let req = Request {
+            method: "POST".into(),
+            path: "/v1/shards".into(),
+            query: String::new(),
+            headers: Vec::new(),
+            body: body.into(),
+            keep_alive: true,
+            trace: "t-test".into(),
+        };
+        state.handle(&req).0.status
+    }
+
+    #[test]
+    fn reconfiguration_frees_replaced_views_and_removed_shards() {
+        let state = state(&[1, 2]);
+        let epoch0 = Arc::downgrade(&state.view());
+        let leaver = Arc::downgrade(&state.view().shards()[1]);
+        assert_eq!(leaver.upgrade().unwrap().addr().port(), 2);
+
+        assert_eq!(reconfigure(&state, r#"{"remove":["127.0.0.1:2"]}"#), 200);
+        for _ in 0..1000 {
+            assert_eq!(reconfigure(&state, r#"{"add":["127.0.0.1:9"]}"#), 200);
+            assert_eq!(reconfigure(&state, r#"{"remove":["127.0.0.1:9"]}"#), 200);
+        }
+
+        assert!(epoch0.upgrade().is_none(), "the epoch-0 view is retained");
+        assert!(leaver.upgrade().is_none(), "the removed shard is retained");
+        let live = state.view.read().unwrap();
+        assert_eq!(live.epoch, 2001);
+        assert_eq!(
+            Arc::strong_count(&live),
+            1,
+            "only the router holds the view"
+        );
+    }
+
+    #[test]
+    fn recipe_memory_is_bounded_by_bytes() {
+        let state = state(&[1]);
+        let body = Json::object([("model", Json::from("x".repeat(1 << 20)))]);
+        for model in 0..48 {
+            state.remember_recipe(ArtifactKey { model, mcf: 0 }, &body);
+        }
+        let recipes = state.recipes.lock().unwrap();
+        assert!(recipes.bytes <= RECIPE_BYTES, "{} bytes", recipes.bytes);
+        let stored: usize = recipes.by_key.values().map(String::len).sum();
+        assert_eq!(recipes.bytes, stored);
+        assert_eq!(recipes.by_key.len(), RECIPE_BYTES / body.encode().len());
+        drop(recipes);
+        let late = ArtifactKey { model: 99, mcf: 0 };
+        state.remember_recipe(late, &body);
+        assert!(!state.recipes.lock().unwrap().by_key.contains_key(&late));
+
+        // Replacing a remembered key adjusts the total instead of
+        // adding to it, and the freed bytes admit the late key.
+        let small = Json::object([("model_name", Json::from("sample"))]);
+        state.remember_recipe(ArtifactKey { model: 0, mcf: 0 }, &small);
+        state.remember_recipe(late, &body);
+        let recipes = state.recipes.lock().unwrap();
+        let stored: usize = recipes.by_key.values().map(String::len).sum();
+        assert_eq!(recipes.bytes, stored);
+        assert!(recipes.bytes <= RECIPE_BYTES, "{} bytes", recipes.bytes);
+        assert!(recipes.by_key.contains_key(&late));
+        assert_eq!(
+            recipes.by_key[&ArtifactKey { model: 0, mcf: 0 }],
+            small.encode()
+        );
     }
 }

@@ -37,6 +37,8 @@
 //! compile is amortized across restarts *and replacements*: a cold
 //! shard warm-starts from its siblings' write-backs.
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod health;
 pub mod ring;
@@ -134,7 +136,7 @@ fn prober_loop(state: &RouterState, shutdown: &AtomicBool) {
     while !shutdown.load(Ordering::SeqCst) {
         let next_sweep = Instant::now() + state.probe_interval();
         let now = Instant::now();
-        for shard in state.shards() {
+        for shard in state.view().shards() {
             if shutdown.load(Ordering::SeqCst) {
                 return;
             }
@@ -609,9 +611,33 @@ mod tests {
 
     #[test]
     fn join_then_leave_moves_keys_with_warm_handoff() {
-        let (a, b) = (shard(), shard());
+        let a = shard();
         let router = router(vec![a.addr()]);
         let names = ["sample", "jacobi", "pipeline", "master_worker"];
+        let keys: Vec<prophet_core::ArtifactKey> = names
+            .iter()
+            .map(|name| {
+                prophet_core::ArtifactKey::of(
+                    &prophet_serve::api::demo_model(name).unwrap(),
+                    &Default::default(),
+                )
+            })
+            .collect();
+        // Placement hashes the shards' addresses, and ~6% of ephemeral
+        // port pairs leave all four keys on `a`, so nothing would move.
+        // Join a shard that takes at least one of them.
+        let (b, expected_moves) = loop {
+            let b = shard();
+            let ring = Ring::new(&[a.addr().to_string(), b.addr().to_string()]);
+            let moves = keys
+                .iter()
+                .filter(|k| ring.route(route_key(**k)) == 1)
+                .count();
+            if moves > 0 {
+                break (b, moves as f64);
+            }
+            b.shutdown();
+        };
         for name in names {
             let r = client::post(router.addr(), "/v1/estimate", &estimate_body(name)).unwrap();
             assert_eq!(r.status, 200, "{}", r.body);
@@ -638,6 +664,7 @@ mod tests {
         assert_eq!(r.body.get("shards").unwrap().as_f64(), Some(2.0));
         let moved = r.body.get("moved").unwrap().as_f64().unwrap();
         assert!(moved >= 1.0, "four keys over two shards must move some");
+        assert_eq!(moved, expected_moves);
         assert_eq!(r.body.get("primed").unwrap().as_f64(), Some(moved));
         assert_eq!(r.body.get("evicted").unwrap().as_f64(), Some(moved));
 

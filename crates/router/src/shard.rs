@@ -6,7 +6,9 @@
 //! the connection back on success. Since the router's worker count
 //! bounds concurrency, the pool never grows past the worker count —
 //! sustained load runs over a handful of long-lived sockets instead of
-//! a connect per request.
+//! a connect per request. The pooled sockets close when the handle
+//! drops: once a shard has left the fleet, that is when the last
+//! request routing on an older view finishes.
 
 use crate::health::HealthState;
 use prophet_serve::client::{Connection, RawResponse};
@@ -75,19 +77,6 @@ impl Shard {
                 .push(conn);
         }
         result
-    }
-
-    /// Close every idle pooled connection. Called when the shard
-    /// leaves the fleet: its handle stays alive in the view history,
-    /// so without this the keep-alive sockets would sit open — holding
-    /// one remote serve worker each — until the shard's idle timeout.
-    /// Checked-out connections are unaffected (in-flight requests on
-    /// an old view finish normally).
-    pub fn disconnect(&self) {
-        self.pool
-            .lock()
-            .expect("shard connection pool lock")
-            .clear();
     }
 
     /// One cheap liveness check on a throwaway connection (the pooled

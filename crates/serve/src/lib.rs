@@ -31,11 +31,11 @@
 //! * [`server`] — accept loop + fixed worker pool + graceful drain,
 //! * [`api`] — the endpoints (`/v1/check`, `/v1/estimate`, `/v1/sweep`,
 //!   `/v1/models`, `/v1/metrics`, `/v1/shutdown`),
-//! * [`metrics`] — lock-free request counters and latency histograms,
+//! * [`metrics`] — atomic request counters and latency histograms,
 //!   including the pool/elab counters that let a load test *prove* the
 //!   compile-once contract over the wire,
 //! * [`spans`] — per-request phase spans (parse, pool, store load,
-//!   compile, evaluate, encode) in a lock-free ring journal behind
+//!   compile, evaluate, encode) in a bounded, mutex-guarded journal behind
 //!   `GET /v1/requests`, keyed by the `X-Prophet-Trace` trace ID every
 //!   request carries (see `docs/OBSERVABILITY.md`),
 //! * [`prometheus`] — text-exposition rendering for
@@ -72,6 +72,8 @@
 //! handle.shutdown();
 //! # Ok::<(), std::io::Error>(())
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod api;
 pub mod client;

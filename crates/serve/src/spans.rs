@@ -1,24 +1,21 @@
-//! Per-request phase spans and the lock-free journal behind
-//! `GET /v1/requests`.
+//! Per-request phase spans and the journal behind `GET /v1/requests`.
 //!
 //! Each handled request accumulates a [`SpanSet`]: microseconds spent
 //! in each pipeline phase (parse, pool lookup, store load, compile,
 //! evaluate, encode) plus the elaboration-cache hit/miss deltas the
-//! request caused. Completed sets land in a [`SpanRecorder`] — a
-//! fixed-size ring of all-atomic slots claimed by an atomic cursor, so
-//! recording never takes a lock and never allocates: a busy server
-//! keeps the newest `capacity` requests, and a total `recorded` counter
-//! is exact even when the ring wraps.
-//!
-//! Slot writes use a seqlock: the sequence number goes odd while a
-//! writer fills the slot and even (and larger) when it finishes, so a
-//! reader that sees a torn slot — mid-write, or overwritten during the
-//! read — detects the seq change and skips it rather than reporting
-//! garbage.
+//! request caused. Completed sets land in a [`SpanRecorder`]: a
+//! `Mutex<VecDeque>` of whole rows bounded at `capacity`, so a busy
+//! server keeps the newest `capacity` requests, and a total `recorded`
+//! counter is exact even once old rows are dropped. A row is built
+//! before the lock is taken and pushed whole, so a reader never sees a
+//! row mixing two requests.
 
+use crate::http::MAX_TRACE_LEN;
 use crate::json::Json;
 use crate::metrics::{Histogram, ENDPOINT_NAMES};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Pipeline phases, in journal order.
@@ -50,8 +47,6 @@ pub const PHASE_NAMES: [&str; 6] = [
 
 /// How many recent requests the journal keeps.
 pub const JOURNAL_CAPACITY: usize = 256;
-
-const TRACE_WORDS: usize = crate::http::MAX_TRACE_LEN / 8;
 
 /// Accumulating span set for one in-flight request.
 #[derive(Debug)]
@@ -116,23 +111,7 @@ impl SpanSet {
     }
 }
 
-/// One all-atomic journal slot (see the module docs for the seqlock
-/// protocol).
-#[derive(Debug, Default)]
-struct Slot {
-    /// 0 = never written; odd = write in progress; even > 0 = stable.
-    seq: AtomicU64,
-    trace: [AtomicU64; TRACE_WORDS],
-    trace_len: AtomicU64,
-    endpoint: AtomicU64,
-    status: AtomicU64,
-    total_us: AtomicU64,
-    phase_us: [AtomicU64; PHASE_NAMES.len()],
-    elab_hits: AtomicU64,
-    elab_misses: AtomicU64,
-}
-
-/// Decoded copy of one journal slot.
+/// One journal row.
 #[derive(Debug, Clone)]
 pub struct JournalEntry {
     /// The request's trace ID.
@@ -151,12 +130,13 @@ pub struct JournalEntry {
     pub elab_misses: u64,
 }
 
-/// Lock-free ring of recent requests plus aggregated per-phase
+/// Bounded journal of recent requests plus aggregated per-phase
 /// histograms.
 #[derive(Debug)]
 pub struct SpanRecorder {
-    slots: Box<[Slot]>,
-    cursor: AtomicU64,
+    /// Newest first, at most `capacity` rows.
+    journal: Mutex<VecDeque<JournalEntry>>,
+    capacity: usize,
     recorded: AtomicU64,
     phase_hist: [Histogram; PHASE_NAMES.len()],
 }
@@ -172,15 +152,16 @@ impl SpanRecorder {
     pub fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
-            slots: (0..capacity).map(|_| Slot::default()).collect(),
-            cursor: AtomicU64::new(0),
+            journal: Mutex::new(VecDeque::with_capacity(capacity)),
+            capacity,
             recorded: AtomicU64::new(0),
             phase_hist: Default::default(),
         }
     }
 
-    /// Record one completed request. Atomics only: safe from any
-    /// worker thread, never blocks, never allocates.
+    /// Record one completed request, truncating its trace to
+    /// [`MAX_TRACE_LEN`] bytes. Safe from any worker thread; the
+    /// journal lock is held only to push the finished row.
     pub fn record(&self, trace: &str, endpoint: usize, status: u16, spans: &SpanSet) {
         self.recorded.fetch_add(1, Ordering::Relaxed);
         for (i, &us) in spans.phase_us.iter().enumerate() {
@@ -188,96 +169,36 @@ impl SpanRecorder {
                 self.phase_hist[i].record_us(us);
             }
         }
-
-        let idx = (self.cursor.fetch_add(1, Ordering::Relaxed) as usize) % self.slots.len();
-        let slot = &self.slots[idx];
-        // Odd sequence: readers (and any concurrent writer colliding on
-        // a wrapped ring) will see this slot as in-flight and skip it.
-        slot.seq.fetch_add(1, Ordering::Acquire);
-        let bytes = trace.as_bytes();
-        let take = bytes.len().min(TRACE_WORDS * 8);
-        slot.trace_len.store(take as u64, Ordering::Relaxed);
-        for (w, word_slot) in slot.trace.iter().enumerate() {
-            let mut word = [0u8; 8];
-            let start = w * 8;
-            if start < take {
-                let end = (start + 8).min(take);
-                word[..end - start].copy_from_slice(&bytes[start..end]);
-            }
-            word_slot.store(u64::from_le_bytes(word), Ordering::Relaxed);
-        }
-        slot.endpoint.store(endpoint as u64, Ordering::Relaxed);
-        slot.status.store(u64::from(status), Ordering::Relaxed);
-        slot.total_us.store(spans.total_us(), Ordering::Relaxed);
-        for (i, &us) in spans.phase_us.iter().enumerate() {
-            slot.phase_us[i].store(us, Ordering::Relaxed);
-        }
-        slot.elab_hits.store(spans.elab_hits, Ordering::Relaxed);
-        slot.elab_misses.store(spans.elab_misses, Ordering::Relaxed);
-        slot.seq.fetch_add(1, Ordering::Release);
+        let end = trace.len().min(MAX_TRACE_LEN);
+        let entry = JournalEntry {
+            // Trace IDs are ASCII; a cut through a multi-byte character
+            // would leave invalid UTF-8, recorded as empty instead.
+            trace: trace.get(..end).unwrap_or_default().to_owned(),
+            endpoint: endpoint.min(ENDPOINT_NAMES.len() - 1),
+            status,
+            total_us: spans.total_us(),
+            phase_us: spans.phase_us,
+            elab_hits: spans.elab_hits,
+            elab_misses: spans.elab_misses,
+        };
+        let mut journal = self.journal.lock().expect("journal lock");
+        journal.truncate(self.capacity - 1);
+        journal.push_front(entry);
     }
 
-    /// Total requests ever recorded — exact even after the ring wraps.
+    /// Total requests ever recorded — exact even after old rows drop.
     pub fn recorded(&self) -> u64 {
         self.recorded.load(Ordering::Relaxed)
     }
 
-    /// Stable journal entries, newest first. Slots mid-write or torn
-    /// by a concurrent wrap are skipped, not misreported.
+    /// Journal entries, newest first.
     pub fn entries(&self) -> Vec<JournalEntry> {
-        let cursor = self.cursor.load(Ordering::Relaxed) as usize;
-        let len = self.slots.len();
-        let mut out = Vec::with_capacity(cursor.min(len));
-        for back in 1..=cursor.min(len) {
-            let slot = &self.slots[(cursor - back) % len];
-            if let Some(entry) = self.read_slot(slot) {
-                out.push(entry);
-            }
-        }
-        out
-    }
-
-    fn read_slot(&self, slot: &Slot) -> Option<JournalEntry> {
-        let seq = slot.seq.load(Ordering::Acquire);
-        if seq == 0 || seq % 2 == 1 {
-            return None;
-        }
-        let mut raw = [0u64; TRACE_WORDS];
-        for (w, word_slot) in slot.trace.iter().enumerate() {
-            raw[w] = word_slot.load(Ordering::Relaxed);
-        }
-        let trace_len = (slot.trace_len.load(Ordering::Relaxed) as usize).min(TRACE_WORDS * 8);
-        let endpoint =
-            (slot.endpoint.load(Ordering::Relaxed) as usize).min(ENDPOINT_NAMES.len() - 1);
-        let status = slot.status.load(Ordering::Relaxed) as u16;
-        let total_us = slot.total_us.load(Ordering::Relaxed);
-        let mut phase_us = [0u64; PHASE_NAMES.len()];
-        for (i, p) in slot.phase_us.iter().enumerate() {
-            phase_us[i] = p.load(Ordering::Relaxed);
-        }
-        let elab_hits = slot.elab_hits.load(Ordering::Relaxed);
-        let elab_misses = slot.elab_misses.load(Ordering::Relaxed);
-        // The fence keeps the relaxed data loads above from being
-        // reordered past the confirming sequence load below.
-        std::sync::atomic::fence(Ordering::Acquire);
-        if slot.seq.load(Ordering::Relaxed) != seq {
-            return None; // torn by a concurrent wrap
-        }
-        let mut bytes = Vec::with_capacity(trace_len);
-        for word in raw {
-            bytes.extend_from_slice(&word.to_le_bytes());
-        }
-        bytes.truncate(trace_len);
-        let trace = String::from_utf8(bytes).unwrap_or_default();
-        Some(JournalEntry {
-            trace,
-            endpoint,
-            status,
-            total_us,
-            phase_us,
-            elab_hits,
-            elab_misses,
-        })
+        self.journal
+            .lock()
+            .expect("journal lock")
+            .iter()
+            .cloned()
+            .collect()
     }
 
     /// The `GET /v1/requests` body: newest-first journal plus the
@@ -286,7 +207,7 @@ impl SpanRecorder {
         let entries: Vec<Json> = self.entries().iter().map(entry_json).collect();
         Json::object([
             ("recorded", Json::from(self.recorded())),
-            ("capacity", Json::from(self.slots.len())),
+            ("capacity", Json::from(self.capacity)),
             ("requests", Json::Array(entries)),
         ])
     }
@@ -439,7 +360,7 @@ mod tests {
         let long = "x".repeat(100);
         rec.record(&long, 0, 200, &SpanSet::start());
         let entries = rec.entries();
-        assert_eq!(entries[0].trace.len(), TRACE_WORDS * 8);
+        assert_eq!(entries[0].trace.len(), MAX_TRACE_LEN);
         assert!(long.starts_with(&entries[0].trace));
     }
 
@@ -464,6 +385,62 @@ mod tests {
                 .unwrap()
                 .as_f64(),
             Some(1.0)
+        );
+    }
+
+    #[test]
+    fn concurrent_rows_are_never_torn_across_requests() {
+        // Eight writers share a 4-slot ring, so slots wrap constantly
+        // under concurrent writes. Each row's trace encodes its own
+        // `Evaluate` value: a row whose trace and phases come from two
+        // different requests is torn.
+        let rec = Arc::new(SpanRecorder::with_capacity(4));
+        let threads = 8u64;
+        let per_thread = 20_000u64;
+        let start = Arc::new(std::sync::Barrier::new(threads as usize + 1));
+        let writers: Vec<_> = (0..threads)
+            .map(|t| {
+                let rec = Arc::clone(&rec);
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..per_thread {
+                        let v = t * per_thread + i + 1;
+                        rec.record(
+                            &format!("{v:0>32}"),
+                            1,
+                            200,
+                            &spans_with(Phase::Evaluate, v),
+                        );
+                    }
+                })
+            })
+            .collect();
+        let reader = {
+            let rec = Arc::clone(&rec);
+            std::thread::spawn(move || {
+                start.wait();
+                let mut torn = Vec::new();
+                while rec.recorded() < threads * per_thread {
+                    for e in rec.entries() {
+                        let evaluate = e.phase_us[Phase::Evaluate as usize];
+                        if e.trace.parse::<u64>().ok() != Some(evaluate) {
+                            torn.push((e.trace, evaluate));
+                        }
+                    }
+                }
+                torn
+            })
+        };
+        for w in writers {
+            w.join().unwrap();
+        }
+        let torn = reader.join().unwrap();
+        assert!(
+            torn.is_empty(),
+            "{} torn rows, e.g. {:?}",
+            torn.len(),
+            torn.first()
         );
     }
 }

@@ -108,6 +108,8 @@
 //! missing argument — the offending token is named before the usage
 //! block).
 
+#![forbid(unsafe_code)]
+
 use prophet::check::{check_model, McfConfig};
 use prophet::codegen::generate_skeleton;
 use prophet::core::{

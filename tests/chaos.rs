@@ -15,14 +15,19 @@
 //! - every response's `X-Prophet-Trace` appears in **exactly one**
 //!   shard's `/v1/requests` journal — requests are routed once, not
 //!   duplicated or lost across epochs.
+//!
+//! A failing run prints its evidence before the test reports: every
+//! non-200 answer with its trace ID, each shard's `/v1/requests`, the
+//! router's `/v1/shards` and `/v1/metrics`, and every process's
+//! stderr.
 
 use prophet::serve::client::{self, Connection};
 use prophet::serve::json::Json;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A spawned `prophet` binary with a parsed listen address. Killed on
@@ -30,6 +35,8 @@ use std::time::Duration;
 struct Proc {
     child: Child,
     addr: SocketAddr,
+    /// Everything the process has written to stderr so far.
+    stderr: Arc<Mutex<Vec<u8>>>,
 }
 
 impl Drop for Proc {
@@ -58,7 +65,97 @@ fn spawn(args: &[&str]) -> Proc {
         .and_then(|s| s.parse().ok())
         .unwrap_or_else(|| panic!("unparsable listen line: {line:?}"));
     std::thread::spawn(move || std::io::copy(&mut stdout.into_inner(), &mut std::io::sink()));
-    Proc { child, addr }
+    let stderr = Arc::new(Mutex::new(Vec::new()));
+    let mut pipe = child.stderr.take().unwrap();
+    let sink = Arc::clone(&stderr);
+    std::thread::spawn(move || {
+        let mut chunk = [0u8; 4096];
+        while let Ok(n @ 1..) = pipe.read(&mut chunk) {
+            sink.lock().unwrap().extend_from_slice(&chunk[..n]);
+        }
+    });
+    Proc {
+        child,
+        addr,
+        stderr,
+    }
+}
+
+/// What a failing run saw, printed while the test unwinds so a flake
+/// leaves evidence behind. Declared after the processes it describes,
+/// so it drops (and queries them) while they still run.
+struct Evidence {
+    router: SocketAddr,
+    shards: Vec<SocketAddr>,
+    stderr: Vec<(String, Arc<Mutex<Vec<u8>>>)>,
+    /// Every non-200 answer or transport error, with its trace ID.
+    failures: Mutex<Vec<String>>,
+}
+
+impl Evidence {
+    fn new(router: &Proc, shards: &[Proc]) -> Self {
+        let mut stderr = vec![(
+            format!("router {}", router.addr),
+            Arc::clone(&router.stderr),
+        )];
+        for shard in shards {
+            stderr.push((format!("shard {}", shard.addr), Arc::clone(&shard.stderr)));
+        }
+        Self {
+            router: router.addr,
+            shards: shards.iter().map(|s| s.addr).collect(),
+            stderr,
+            failures: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Note a non-200 answer (or a transport error) before asserting.
+    fn failure(&self, what: String) {
+        self.failures
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(what);
+    }
+}
+
+/// One raw GET with a timeout, as a printable string; never panics.
+fn fetch(addr: SocketAddr, path: &str) -> String {
+    let mut conn = Connection::new(addr);
+    conn.set_io_timeout(Some(Duration::from_secs(5)));
+    match conn.send("GET", path, None, &[]) {
+        Ok(r) => format!("{} {}", r.status, r.body),
+        Err(e) => format!("transport error: {e}"),
+    }
+}
+
+impl Drop for Evidence {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        let failures = self.failures.lock().unwrap_or_else(|e| e.into_inner());
+        eprintln!("==== chaos evidence: {} failed request(s)", failures.len());
+        for failure in failures.iter() {
+            eprintln!("{failure}");
+        }
+        for &shard in &self.shards {
+            eprintln!(
+                "==== shard {shard} /v1/requests\n{}",
+                fetch(shard, "/v1/requests")
+            );
+        }
+        for path in ["/v1/shards", "/v1/metrics"] {
+            eprintln!(
+                "==== router {} {path}\n{}",
+                self.router,
+                fetch(self.router, path)
+            );
+        }
+        for (name, stderr) in &self.stderr {
+            let bytes = stderr.lock().unwrap_or_else(|e| e.into_inner());
+            eprintln!("==== {name} stderr\n{}", String::from_utf8_lossy(&bytes));
+        }
+    }
 }
 
 const TOKEN: &str = "chaos-s3cret";
@@ -141,6 +238,7 @@ fn join_and_leave_under_concurrent_traffic_lose_nothing() {
         TOKEN,
     ]);
     let router_addr = router.addr;
+    let evidence = Evidence::new(&router, &shards);
 
     // Steady state first: one pass over every model, so each digest is
     // compiled on its ring owner and known to the router's recipe cache
@@ -155,7 +253,15 @@ fn join_and_leave_under_concurrent_traffic_lose_nothing() {
             ("nodes", Json::from(2usize)),
             ("backend", Json::from("analytic")),
         ]);
-        let r = client::post(router_addr, "/v1/estimate", &body).unwrap();
+        let r = client::post(router_addr, "/v1/estimate", &body)
+            .inspect_err(|e| evidence.failure(format!("{model} warmup: {e}")))
+            .unwrap();
+        if r.status != 200 {
+            evidence.failure(format!(
+                "{model} warmup: trace {:?}: {} {}",
+                r.trace, r.status, r.body
+            ));
+        }
         assert_eq!(r.status, 200, "{model} warmup: {}", r.body);
         traces.lock().unwrap().push(r.trace.expect("trace id"));
     }
@@ -163,6 +269,7 @@ fn join_and_leave_under_concurrent_traffic_lose_nothing() {
         let workers: Vec<_> = (0..4)
             .map(|worker| {
                 let traces = &traces;
+                let evidence = &evidence;
                 scope.spawn(move || {
                     for i in 0..8usize {
                         let model = MODELS[(worker + 2 * i) % MODELS.len()];
@@ -172,7 +279,14 @@ fn join_and_leave_under_concurrent_traffic_lose_nothing() {
                             ("backend", Json::from("analytic")),
                         ]);
                         let r = client::post(router_addr, "/v1/estimate", &body)
+                            .inspect_err(|e| evidence.failure(format!("{model} mid-reshape: {e}")))
                             .unwrap_or_else(|e| panic!("{model} mid-reshape: {e}"));
+                        if r.status != 200 {
+                            evidence.failure(format!(
+                                "{model} mid-reshape: trace {:?}: {} {}",
+                                r.trace, r.status, r.body
+                            ));
+                        }
                         assert_eq!(
                             r.status, 200,
                             "{model} must survive the reshape: {}",
@@ -194,6 +308,9 @@ fn join_and_leave_under_concurrent_traffic_lose_nothing() {
             Json::Array(vec![Json::from(shards[3].addr.to_string())]),
         )]);
         let (status, join_report) = post_op(router_addr, "/v1/shards", &add);
+        if status != 200 {
+            evidence.failure(format!("join: {status} {join_report}"));
+        }
         assert_eq!(status, 200, "join: {join_report}");
         assert_eq!(num(&join_report, &["epoch"]), 1.0, "{join_report}");
 
@@ -203,6 +320,9 @@ fn join_and_leave_under_concurrent_traffic_lose_nothing() {
             Json::Array(vec![Json::from(shards[0].addr.to_string())]),
         )]);
         let (status, leave_report) = post_op(router_addr, "/v1/shards", &remove);
+        if status != 200 {
+            evidence.failure(format!("leave: {status} {leave_report}"));
+        }
         assert_eq!(status, 200, "leave: {leave_report}");
         assert_eq!(num(&leave_report, &["epoch"]), 2.0, "{leave_report}");
 
